@@ -300,21 +300,39 @@ class AcceleratedBackend(CryptoBackend):
         """``k*G`` through OpenSSL key derivation (or the wide comb)."""
         return self._ec.mul_base(curve, k)
 
-    def ec_mul(self, curve, k: int, point):
-        """``k*P`` through ECDH x-coordinates + y-recovery (or wNAF)."""
+    def ec_mul(self, curve, k: int, point, *, x_only: bool = False):
+        """``k*P`` through ECDH x-coordinates + y-recovery (or wNAF).
+
+        ``x_only`` takes one ECDH evaluation and no y-recovery; full
+        results are memoised.
+        """
+        if x_only:
+            return self._ec.mul_x(curve, k, point)
         return self._ec.mul(curve, k, point)
 
-    def ec_mul_double(self, curve, u: int, p_point, v: int, q_point):
-        """``u*P + v*Q`` from two accelerated multiplies + one addition."""
-        return self._ec.mul_double(curve, u, p_point, v, q_point)
+    def ec_mul_double(
+        self, curve, u: int, p_point, v: int, q_point, *, x_mod_n=None
+    ):
+        """``u*P + v*Q`` from two accelerated multiplies + one addition.
+
+        ``x_mod_n`` asks only the ECDSA verify predicate: one OpenSSL
+        verify for the ``u*G + v*Q`` shape.
+        """
+        return self._ec.mul_double(
+            curve, u, p_point, v, q_point, x_mod_n=x_mod_n
+        )
 
     def ec_mul_base_batch(self, curve, ks: list) -> list:
         """Batched ``k*G`` (OpenSSL results need no normalization pass)."""
         return self._ec.mul_base_batch(curve, ks)
 
-    def ec_mul_double_batch(self, curve, terms: list) -> list:
+    def ec_mul_double_batch(self, curve, terms: list, *, x_mod_n=None) -> list:
         """Batched ``u*P + v*Q`` terms (``None`` = degenerate term)."""
-        return self._ec.mul_double_batch(curve, terms)
+        return self._ec.mul_double_batch(curve, terms, x_mod_n=x_mod_n)
+
+    def ec_decompress(self, curve, x: int, odd: bool):
+        """Compressed-point decoding through OpenSSL (or ``sqrt_mod``)."""
+        return self._ec.decompress(curve, x, odd)
 
     def describe(self) -> dict:
         """Introspection for benchmarks and docs."""

@@ -153,6 +153,15 @@ class CryptoBackend:
     # element are unique, byte parity is automatic for any *correct*
     # implementation — which is what makes this seam safe to accelerate.
     #
+    # Callers that read only part of a result say so with a keyword, so
+    # a backend may skip work nobody reads: ``ec_mul(..., x_only=True)``
+    # returns just ``x(k*P)`` (ECDH, SEC 1 §3.3.1) and
+    # ``ec_mul_double(..., x_mod_n=r)`` returns only whether
+    # ``x(u*P + v*Q) mod n == r`` (the ECDSA verify predicate).  They
+    # stay keyword variants of the two counted methods, so one backend
+    # call still stands for one ``ec.*`` event and the simulated cost
+    # model is unchanged.  ``ec_decompress`` has no trace event at all.
+    #
     # The default implementations below ARE the reference path: they
     # delegate to the unchanged from-scratch Jacobian/wNAF/comb code in
     # :mod:`repro.ec.scalarmult` (imported lazily to avoid cycles), so
@@ -166,18 +175,32 @@ class CryptoBackend:
 
         return from_jacobian(curve, _mul_base_jac(k, curve))
 
-    def ec_mul(self, curve, k: int, point):
-        """``k*P`` for ``1 <= k < n`` and non-infinity ``P`` on ``curve``."""
+    def ec_mul(self, curve, k: int, point, *, x_only: bool = False):
+        """``k*P`` for ``1 <= k < n`` and non-infinity ``P`` on ``curve``.
+
+        With ``x_only`` returns only the affine ``x`` coordinate (an int,
+        or ``None`` when ``k*P`` is the point at infinity).
+        """
         from ..ec.scalarmult import _mul_wnaf_untraced
 
-        return _mul_wnaf_untraced(k, point)
+        result = _mul_wnaf_untraced(k, point)
+        return result.x if x_only else result
 
-    def ec_mul_double(self, curve, u: int, p_point, v: int, q_point):
-        """``u*P + v*Q`` with ``0 <= u, v < n``, not both terms degenerate."""
+    def ec_mul_double(
+        self, curve, u: int, p_point, v: int, q_point, *, x_mod_n=None
+    ):
+        """``u*P + v*Q`` with ``0 <= u, v < n``, not both terms degenerate.
+
+        With ``x_mod_n`` returns whether the sum is a finite point whose
+        ``x mod n`` equals ``x_mod_n`` instead of the point itself.
+        """
         from ..ec.point import from_jacobian
-        from ..ec.scalarmult import _mul_double_jac
+        from ..ec.scalarmult import _mul_double_jac, _x_mod_n_matches
 
-        return from_jacobian(curve, _mul_double_jac(u, p_point, v, q_point))
+        point = from_jacobian(curve, _mul_double_jac(u, p_point, v, q_point))
+        if x_mod_n is None:
+            return point
+        return _x_mod_n_matches(point, x_mod_n)
 
     def ec_mul_base_batch(self, curve, ks: list) -> list:
         """``[k*G for k in ks]`` with scalars already reduced mod ``n``.
@@ -196,21 +219,37 @@ class CryptoBackend:
         ]
         return self.ec_normalize_batch(curve, jacs)
 
-    def ec_mul_double_batch(self, curve, terms: list) -> list:
+    def ec_mul_double_batch(self, curve, terms: list, *, x_mod_n=None) -> list:
         """Many ``u*P + v*Q`` terms; ``None`` entries mark degenerate terms.
 
         ``terms`` holds ``(u, p_point, v, q_point)`` tuples already
         reduced and validated by the caller, or ``None`` where the
-        caller collapsed a term to infinity.
+        caller collapsed a term to infinity.  ``x_mod_n``, when given,
+        is a list parallel to ``terms`` and turns every result into the
+        :meth:`ec_mul_double` predicate (degenerate terms give False).
         """
         from ..ec.point import JAC_INFINITY
-        from ..ec.scalarmult import _mul_double_jac
+        from ..ec.scalarmult import _mul_double_jac, _x_mod_n_matches
 
         jacs = [
             JAC_INFINITY if term is None else _mul_double_jac(*term)
             for term in terms
         ]
-        return self.ec_normalize_batch(curve, jacs)
+        points = self.ec_normalize_batch(curve, jacs)
+        if x_mod_n is None:
+            return points
+        return [_x_mod_n_matches(p, r) for p, r in zip(points, x_mod_n)]
+
+    def ec_decompress(self, curve, x: int, odd: bool):
+        """The point with abscissa ``x < p`` and ``y`` of parity ``odd``.
+
+        Raises :class:`~repro.errors.PointDecodingError` when ``x`` has
+        no point on ``curve``.  No trace event: decoding is not a priced
+        operation.
+        """
+        from ..ec.encoding import _sqrt_decompress
+
+        return _sqrt_decompress(curve, x, odd)
 
     def ec_normalize_batch(self, curve, jacs: list) -> list:
         """Jacobian→affine conversion of a whole batch (shared inversion)."""

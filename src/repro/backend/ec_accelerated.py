@@ -21,6 +21,23 @@ Two speed tiers, selected per curve with graceful fallback:
    * ``u*P + v*Q`` decomposes into the two single multiplications above
      plus one untraced affine addition.
 
+   Where the caller reads less than a full point, less is computed:
+
+   * **x-only** ``k*P`` (``ec_mul(..., x_only=True)``, what ECDH reads)
+     is one ECDH evaluation with no y-recovery; the one-shot peer key is
+     built uncached so ephemeral points cannot evict hot keys;
+   * the **ECDSA verify predicate** ``x(u*G + v*Q) mod n == r``
+     (``ec_mul_double(..., x_mod_n=r)``) is one OpenSSL ECDSA verify of
+     a synthesised signature: ``s' = r/v`` and the prehashed digest
+     ``e' = u*s'`` make OpenSSL's two scalars exactly ``u`` and ``v``;
+   * **decompression** goes through ``from_encoded_point`` instead of a
+     pure-Python square root, raising the same
+     :class:`~repro.errors.PointDecodingError` for a non-residue ``x``.
+
+   Full ``k*P`` results are memoised in a bounded LRU keyed on the full
+   curve value, ``k`` and the point: a fleet reconstructs the same
+   certificate keys many times, and a repeat costs a dict lookup.
+
    Every result is rebuilt as a :class:`~repro.ec.point.Point`, whose
    constructor re-validates the curve equation — an incorrect C result
    or recovery step fails loudly instead of corrupting a protocol run.
@@ -35,7 +52,8 @@ Two speed tiers, selected per curve with graceful fallback:
 
 Nothing in this module records trace events: the scalar-multiplication
 wrappers in :mod:`repro.ec.scalarmult` own the ``ec.mul_*`` accounting,
-so trace streams are bit-identical across backends by construction.
+so trace streams are bit-identical across backends by construction and
+the simulated cost model is the same whichever path answers a call.
 Byte parity is automatic because affine coordinates of a group element
 are unique; ``tests/backend/test_parity_fuzz.py`` locks both down over
 edge scalars (``1, 2, n-2, n-1, n, n+1``) and random scalars on every
@@ -46,6 +64,15 @@ from __future__ import annotations
 
 try:  # EC offload is optional; the pure-Python fallback covers its absence.
     from cryptography.hazmat.primitives.asymmetric import ec as _x_ec
+
+    # Loading ``ec`` already loads these three modules, so the verify
+    # path costs no extra imports.
+    from cryptography.exceptions import InvalidSignature as _InvalidSignature
+    from cryptography.hazmat.primitives.hashes import SHA512 as _SHA512
+    from cryptography.hazmat.primitives.asymmetric.utils import (
+        Prehashed as _Prehashed,
+        encode_dss_signature as _encode_dss_signature,
+    )
 
     OPENSSL_EC = True
 except ImportError:  # pragma: no cover - exercised via the fallback tests
@@ -77,9 +104,18 @@ _FALLBACK_TEETH = 8
 _PUB_CACHE_LIMIT = 256
 _COMB_CACHE_LIMIT = 16
 
+#: Bound on memoised full ``k*P`` results (≈0.5 kB each).  A fleet
+#: reconstructs the same certificate keys again and again: shard
+#: intermediates and gateway certificates for every vehicle, and each
+#: vehicle's own key twice — on enrollment and again at its gateway's
+#: handshake.  An arrival storm enrolls its whole backlog in between
+#: (≈1,200 other keys on the 1,200-vehicle storm), so the bound holds a
+#: backlog of that size; past it, repeats are simply recomputed.
+_PRODUCT_CACHE_LIMIT = 2048
+
 
 def _bounded_insert(cache: dict, limit: int, key, value) -> None:
-    """Insert into a FIFO-bounded cache (dict insertion order)."""
+    """Insert into a bounded cache, evicting the oldest insertions first."""
     while len(cache) >= limit:
         cache.pop(next(iter(cache)))
     cache[key] = value
@@ -95,6 +131,8 @@ class AcceleratedEc:
         self._pub_keys: dict = {}
         # Curve -> (columns, affine table) for the wide fallback comb.
         self._comb_tables: dict = {}
+        # (Curve, k, x, y) -> memoised full k*P result.
+        self._products: dict = {}
 
     # -- OpenSSL plumbing ---------------------------------------------------
 
@@ -144,10 +182,10 @@ class AcceleratedEc:
             _bounded_insert(self._pub_keys, _PUB_CACHE_LIMIT, key, cached)
         return cached
 
-    def _shared_x(self, impl, curve, k: int, point) -> int:
-        """x coordinate of ``k*point`` via one ECDH evaluation."""
+    def _shared_x(self, impl, k: int, public_key) -> int:
+        """x coordinate of ``k*Q`` via one ECDH evaluation."""
         private = _x_ec.derive_private_key(k, impl)
-        shared = private.exchange(_x_ec.ECDH(), self._public_key(impl, curve, point))
+        shared = private.exchange(_x_ec.ECDH(), public_key)
         return int.from_bytes(shared, "big")
 
     # -- backend-facing operations ------------------------------------------
@@ -165,7 +203,18 @@ class AcceleratedEc:
         return Point(curve, numbers.x, numbers.y)
 
     def mul(self, curve, k: int, point):
-        """``k*P`` for ``1 <= k < n`` and non-infinity ``P``."""
+        """``k*P`` for ``1 <= k < n`` and non-infinity ``P`` (memoised)."""
+        key = (curve, k, point.x, point.y)
+        # Least-recently-used order: a hit moves to the back, so the few
+        # hot keys outlive the stream of one-off vehicle keys.
+        result = self._products.pop(key, None)
+        if result is None:
+            result = self._mul(curve, k, point)
+        _bounded_insert(self._products, _PRODUCT_CACHE_LIMIT, key, result)
+        return result
+
+    def _mul(self, curve, k: int, point):
+        """Uncached ``k*P``: two ECDH evaluations plus y-recovery."""
         from ..ec.point import Point
         from ..ec.scalarmult import _mul_wnaf_untraced
 
@@ -179,8 +228,9 @@ class AcceleratedEc:
             return point
         if k == curve.n - 1:
             return -point
-        x_r = self._shared_x(impl, curve, k, point)
-        x_s = self._shared_x(impl, curve, k + 1, point)
+        public_key = self._public_key(impl, curve, point)
+        x_r = self._shared_x(impl, k, public_key)
+        x_s = self._shared_x(impl, k + 1, public_key)
         p = curve.p
         diff = point.x - x_r
         numerator = (
@@ -191,17 +241,77 @@ class AcceleratedEc:
         y_r = numerator * pow(2 * point.y, -1, p) % p
         return Point(curve, x_r, y_r)
 
-    def mul_double(self, curve, u: int, p_point, v: int, q_point):
-        """``u*P + v*Q``, not both terms degenerate."""
-        from ..ec.point import from_jacobian
-        from ..ec.scalarmult import _mul_double_jac
+    def mul_x(self, curve, k: int, point):
+        """``x(k*P)`` (``None`` for infinity): one ECDH evaluation.
+
+        The peer key is built uncached: x-only callers multiply
+        ephemeral points, which must not evict hot keys from the
+        public-key cache.
+        """
+        from ..ec.scalarmult import _mul_wnaf_untraced
 
         impl = self._curve_impl(curve)
         if impl is None:
-            return from_jacobian(curve, _mul_double_jac(u, p_point, v, q_point))
-        left = self._term(curve, u, p_point)
-        right = self._term(curve, v, q_point)
-        return left._add_raw(right)
+            return _mul_wnaf_untraced(k, point).x
+        public_key = _x_ec.EllipticCurvePublicNumbers(
+            point.x, point.y, impl
+        ).public_key()
+        return self._shared_x(impl, k, public_key)
+
+    def mul_double(
+        self, curve, u: int, p_point, v: int, q_point, x_mod_n=None
+    ):
+        """``u*P + v*Q``, not both terms degenerate.
+
+        With ``x_mod_n`` returns whether the sum is finite with
+        ``x mod n == x_mod_n``.  For the ECDSA shape (``P = G``,
+        ``v != 0``, ``0 < x_mod_n < n``) that is one OpenSSL verify.
+        """
+        from ..ec.point import from_jacobian
+        from ..ec.scalarmult import _mul_double_jac, _x_mod_n_matches
+
+        impl = self._curve_impl(curve)
+        if (
+            x_mod_n is not None
+            and impl is not None
+            and v
+            and 0 < x_mod_n < curve.n
+            and not q_point.is_infinity
+            and p_point.x == curve.gx
+            and p_point.y == curve.gy
+        ):
+            return self._verify(impl, curve, u, v, q_point, x_mod_n)
+        if impl is None:
+            jac = _mul_double_jac(u, p_point, v, q_point)
+            point = from_jacobian(curve, jac)
+        else:
+            point = self._term(curve, u, p_point)._add_raw(
+                self._term(curve, v, q_point)
+            )
+        return point if x_mod_n is None else _x_mod_n_matches(point, x_mod_n)
+
+    def _verify(self, impl, curve, u: int, v: int, q_point, r: int) -> bool:
+        """``x(u*G + v*Q) mod n == r`` as one OpenSSL ECDSA verify.
+
+        OpenSSL checks ``x(e*w*G + r*w*Q) mod n == r`` with
+        ``w = s^-1``.  Choosing ``s = r/v`` and ``e = u*s`` (mod n)
+        makes its two scalars exactly ``u`` and ``v``.  ``e`` goes in as
+        a prehashed SHA-512-sized digest, left-aligned so OpenSSL's
+        truncation to the order's bit length reads it back unchanged.
+        """
+        n = curve.n
+        s = r * pow(v, -1, n) % n
+        e = u * s % n
+        digest = (e << (512 - n.bit_length())).to_bytes(64, "big")
+        try:
+            self._public_key(impl, curve, q_point).verify(
+                _encode_dss_signature(r, s),
+                digest,
+                _x_ec.ECDSA(_Prehashed(_SHA512())),
+            )
+        except _InvalidSignature:
+            return False
+        return True
 
     def _term(self, curve, k: int, point):
         """One side of a double multiplication (may be degenerate)."""
@@ -212,6 +322,27 @@ class AcceleratedEc:
         if point.x == curve.gx and point.y == curve.gy:
             return self.mul_base(curve, k)
         return self.mul(curve, k, point)
+
+    def decompress(self, curve, x: int, odd: bool):
+        """The point with abscissa ``x < p`` and ``y`` of parity ``odd``."""
+        from ..ec.encoding import _sqrt_decompress
+        from ..ec.point import Point
+        from ..errors import PointDecodingError
+
+        impl = self._curve_impl(curve)
+        if impl is None:
+            return _sqrt_decompress(curve, x, odd)
+        prefix = b"\x03" if odd else b"\x02"
+        encoded = prefix + x.to_bytes(curve.field_bytes, "big")
+        try:
+            numbers = _x_ec.EllipticCurvePublicKey.from_encoded_point(
+                impl, encoded
+            ).public_numbers()
+        except ValueError as exc:
+            raise PointDecodingError(
+                "compressed X has no matching curve point"
+            ) from exc
+        return Point(curve, numbers.x, numbers.y)
 
     def mul_base_batch(self, curve, ks: list) -> list:
         """``[k*G for k in ks]``; zeros map to infinity."""
@@ -230,24 +361,36 @@ class AcceleratedEc:
         ]
         return normalize_batch(curve, jacs)
 
-    def mul_double_batch(self, curve, terms: list) -> list:
-        """Many ``u*P + v*Q`` terms; ``None`` entries are degenerate."""
-        from ..ec.point import JAC_INFINITY, Point, normalize_batch
-        from ..ec.scalarmult import _mul_double_jac
+    def mul_double_batch(self, curve, terms: list, x_mod_n=None) -> list:
+        """Many ``u*P + v*Q`` terms; ``None`` entries are degenerate.
 
-        impl = self._curve_impl(curve)
-        if impl is not None:
+        ``x_mod_n`` (parallel to ``terms``) turns each result into the
+        :meth:`mul_double` predicate; degenerate terms give False.
+        """
+        from ..ec.point import JAC_INFINITY, Point, normalize_batch
+        from ..ec.scalarmult import _mul_double_jac, _x_mod_n_matches
+
+        if self._curve_impl(curve) is None:
+            jacs = [
+                JAC_INFINITY if term is None else _mul_double_jac(*term)
+                for term in terms
+            ]
+            points = normalize_batch(curve, jacs)
+            if x_mod_n is None:
+                return points
+            return [_x_mod_n_matches(p, r) for p, r in zip(points, x_mod_n)]
+        # OpenSSL results are already affine — no normalization pass.
+        if x_mod_n is None:
             return [
                 Point.infinity(curve)
                 if term is None
                 else self.mul_double(curve, *term)
                 for term in terms
             ]
-        jacs = [
-            JAC_INFINITY if term is None else _mul_double_jac(*term)
-            for term in terms
+        return [
+            term is not None and self.mul_double(curve, *term, x_mod_n=r)
+            for term, r in zip(terms, x_mod_n)
         ]
-        return normalize_batch(curve, jacs)
 
     # -- pure-Python affine-window fallback ----------------------------------
 
@@ -309,7 +452,8 @@ class AcceleratedEc:
         if OPENSSL_EC:
             return (
                 "cryptography (OpenSSL scalar mult; ECDH x-coordinates +"
-                " Okeya-Sakurai y-recovery for arbitrary points;"
+                " Okeya-Sakurai y-recovery for arbitrary points, memoised;"
+                " x-only ECDH, ECDSA verify and decompression in one call;"
                 " wide-comb fallback for non-OpenSSL curves)"
             )
         return (

@@ -6,7 +6,7 @@ Public surface:
 * :class:`Point` with affine arithmetic and operator overloads,
 * scalar multiplication strategies (:func:`mul_base`, :func:`mul_point`,
   :func:`mul_double`, :func:`mul_ladder`) plus the batch-optimized
-  :func:`mul_base_batch`,
+  :func:`mul_base_batch` and the x-only :func:`mul_point_x` (ECDH),
 * SEC 1 point encoding (:func:`encode_point`, :func:`decode_point`),
 * modular helpers (:func:`inverse_mod`, :func:`sqrt_mod`,
   :func:`batch_inverse`),
@@ -52,6 +52,7 @@ from .scalarmult import (
     mul_double_batch,
     mul_ladder,
     mul_point,
+    mul_point_x,
     precompute_point,
 )
 
@@ -84,6 +85,7 @@ __all__ = [
     "mul_double_batch",
     "mul_ladder",
     "mul_point",
+    "mul_point_x",
     "normalize_batch",
     "point_size",
     "precompute_point",

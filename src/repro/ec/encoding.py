@@ -9,10 +9,15 @@ Implements the three SEC 1 §2.3.3/2.3.4 forms:
 
 The paper's minimal 101-byte certificate encoding relies on compressed
 points (33 bytes on secp256r1), so compression must round-trip exactly.
+Decompression (the square root that recovers Y) dispatches through the
+backend seam (``ec_decompress``): OpenSSL under the accelerated backend,
+:func:`~repro.ec.modular.sqrt_mod` otherwise, with the same
+:class:`~repro.errors.PointDecodingError` for an X that has no point.
 """
 
 from __future__ import annotations
 
+from ..backend import get_backend
 from ..errors import PointDecodingError
 from ..utils import bytes_to_int, int_to_bytes
 from .curve import Curve
@@ -71,17 +76,21 @@ def decode_point(curve: Curve, data: bytes) -> Point:
         x = bytes_to_int(data[1:])
         if x >= curve.p:
             raise PointDecodingError("compressed X exceeds field modulus")
-        try:
-            y = sqrt_mod(curve.rhs(x), curve.p)
-        except NonResidueError as exc:
-            raise PointDecodingError(
-                "compressed X has no matching curve point"
-            ) from exc
-        want_odd = prefix == COMPRESSED_ODD
-        if (y & 1) != want_odd:
-            y = curve.p - y
-        return Point(curve, x, y)
+        return get_backend().ec_decompress(curve, x, prefix == COMPRESSED_ODD)
     raise PointDecodingError(f"unknown point encoding prefix {prefix:#04x}")
+
+
+def _sqrt_decompress(curve: Curve, x: int, odd: bool) -> Point:
+    """Reference decompression: ``y = sqrt(x^3 + ax + b)``, parity ``odd``."""
+    try:
+        y = sqrt_mod(curve.rhs(x), curve.p)
+    except NonResidueError as exc:
+        raise PointDecodingError(
+            "compressed X has no matching curve point"
+        ) from exc
+    if (y & 1) != odd:
+        y = curve.p - y
+    return Point(curve, x, y)
 
 
 def point_size(curve: Curve, compressed: bool = True) -> int:

@@ -191,6 +191,21 @@ def mul_point(scalar: int, point: Point) -> Point:
     return get_backend().ec_mul(curve, k, point)
 
 
+def mul_point_x(scalar: int, point: Point) -> int | None:
+    """The affine ``x`` of ``scalar * point`` (``None`` for infinity).
+
+    What ECDH needs (SEC 1 §3.3.1): a backend may skip the ``y``
+    coordinate nobody reads.  Records ``ec.mul_point`` exactly like
+    :func:`mul_point`, so the priced cost is the same.
+    """
+    curve = point.curve
+    k = scalar % curve.n
+    if k == 0 or point.is_infinity:
+        return None
+    trace.record("ec.mul_point")
+    return get_backend().ec_mul(curve, k, point, x_only=True)
+
+
 def _mul_wnaf_untraced(k: int, point: Point) -> Point:
     curve = point.curve
     table = _wnaf_table(point)
@@ -313,30 +328,54 @@ def _mul_double_jac(
     return acc
 
 
-def mul_double(u: int, p_point: Point, v: int, q_point: Point) -> Point:
+def _x_mod_n_matches(point: Point, r: int) -> bool:
+    """The ECDSA verify predicate: finite ``point`` with ``x mod n == r``."""
+    return not point.is_infinity and point.x % point.curve.n == r
+
+
+def mul_double(
+    u: int,
+    p_point: Point,
+    v: int,
+    q_point: Point,
+    *,
+    x_mod_n: int | None = None,
+):
     """Compute ``u*P + v*Q`` with interleaved wNAF on one doubling chain.
 
     Costs roughly 1.25 single multiplications instead of 2, which is why
     ECDSA verification (``u1*G + u2*Q``) and SCIANC's fused
     reconstruct-and-derive are cheaper than two independent multiplies.
+
+    With ``x_mod_n`` returns, instead of the point, whether it is finite
+    with ``x mod n == x_mod_n`` — the ECDSA verify predicate, which a
+    backend may decide without building the point.  Either form records
+    the same single ``ec.mul_double`` event.
     """
-    if p_point.curve.name != q_point.curve.name:
-        raise CurveError("mul_double requires points on the same curve")
     curve = p_point.curve
+    # Full-value comparison, as in mul_double_batch: a point on a curve
+    # merely sharing a name must never reach the backend.
+    if q_point.curve != curve:
+        raise CurveError("mul_double requires points on the same curve")
     u %= curve.n
     v %= curve.n
     if (u == 0 or p_point.is_infinity) and (v == 0 or q_point.is_infinity):
-        return Point.infinity(curve)
+        return Point.infinity(curve) if x_mod_n is None else False
     trace.record("ec.mul_double")
-    return get_backend().ec_mul_double(curve, u, p_point, v, q_point)
+    return get_backend().ec_mul_double(
+        curve, u, p_point, v, q_point, x_mod_n=x_mod_n
+    )
 
 
-def mul_double_batch(terms, curve: Curve) -> list[Point]:
+def mul_double_batch(terms, curve: Curve, *, x_mod_n=None) -> list:
     """Many ``u*P + v*Q`` computations with one shared normalization.
 
     Args:
         terms: iterable of ``(u, p_point, v, q_point)`` tuples.
         curve: common domain parameters (every point must live on it).
+        x_mod_n: optional list of ``r`` values parallel to ``terms``;
+            each result then becomes :func:`mul_double`'s verify
+            predicate (a bool) instead of a point.
 
     Evaluates each term in Jacobian coordinates and converts the whole
     batch to affine through a single Montgomery-trick inversion — the
@@ -360,7 +399,11 @@ def mul_double_batch(terms, curve: Curve) -> list[Point]:
             continue
         trace.record("ec.mul_double")
         reduced.append((u, p_point, v, q_point))
-    return get_backend().ec_mul_double_batch(curve, reduced)
+    if x_mod_n is not None:
+        x_mod_n = list(x_mod_n)
+        if len(x_mod_n) != len(reduced):
+            raise CurveError("mul_double_batch needs one x_mod_n per term")
+    return get_backend().ec_mul_double_batch(curve, reduced, x_mod_n=x_mod_n)
 
 
 def mul_ladder(scalar: int, point: Point) -> Point:

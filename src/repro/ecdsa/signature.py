@@ -1,18 +1,22 @@
 """ECDSA signing and verification (SEC 1 §4.1, nonces per RFC 6979).
 
 Signatures are the authentication backbone of both the paper's STS design
-(Algorithms 1 and 2) and the static S-ECDSA baseline.  Verification uses a
-Strauss–Shamir double multiplication (``u1*G + u2*Q``), the optimization
-every embedded ECC library applies.
+(Algorithms 1 and 2) and the static S-ECDSA baseline.  Verification is
+priced as a Strauss–Shamir double multiplication (``u1*G + u2*Q``), the
+optimization every embedded ECC library applies.
 
 Trace events: ``ecdsa.sign`` / ``ecdsa.verify`` wrap the scalar
 multiplications recorded by the EC layer.
 
 Backend note: every scalar multiplication here (``mul_base`` in signing,
 ``mul_double``/``mul_double_batch`` in verification) dispatches through
-the :mod:`repro.backend` EC seam, so signatures and verifications run on
-OpenSSL point math under the accelerated backend with bit-identical
-bytes and traces — nothing in this module is backend-aware.
+the :mod:`repro.backend` EC seam.  Verification asks the seam only the
+predicate ``x(u1*G + u2*Q) mod n == r`` (``x_mod_n=r``), which the
+accelerated backend answers with one OpenSSL ECDSA verify instead of
+building the point.  Bytes, results and trace events (``ecdsa.verify``,
+the hash blocks, one ``mod.inv`` and one ``ec.mul_double``) are
+identical on both backends, so the simulated cost is unchanged — nothing
+in this module is backend-aware.
 """
 
 from __future__ import annotations
@@ -122,6 +126,27 @@ def sign(
         return Signature(curve, r, s)
 
 
+def _verify_scalars(
+    public_key: Point, message: bytes, signature: Signature, hash_name: str
+) -> tuple[int, int] | None:
+    """Verification prelude: ``(u1, u2)`` or ``None`` for a sure reject.
+
+    Records ``ecdsa.verify``, the message hash and the ``s`` inversion
+    whenever the key and signature curves allow a verification at all.
+    """
+    curve = public_key.curve
+    if public_key.is_infinity or signature.curve.name != curve.name:
+        return None
+    trace.record("ecdsa.verify")
+    message_hash = new_hash(hash_name, message).digest()
+    e = _hash_to_int(message_hash, curve.n)
+    try:
+        s_inv = inverse_mod(signature.s, curve.n)
+    except Exception:
+        return None
+    return (e * s_inv) % curve.n, (signature.r * s_inv) % curve.n
+
+
 def verify(
     public_key: Point,
     message: bytes,
@@ -129,43 +154,33 @@ def verify(
     hash_name: str = "sha256",
 ) -> bool:
     """Verify an ECDSA signature; returns True/False (never raises on bad sig)."""
-    curve = public_key.curve
-    if public_key.is_infinity:
+    scalars = _verify_scalars(public_key, message, signature, hash_name)
+    if scalars is None:
         return False
-    if signature.curve.name != curve.name:
-        return False
-    trace.record("ecdsa.verify")
-    message_hash = new_hash(hash_name, message).digest()
-    e = _hash_to_int(message_hash, curve.n)
-    try:
-        s_inv = inverse_mod(signature.s, curve.n)
-    except Exception:
-        return False
-    u1 = (e * s_inv) % curve.n
-    u2 = (signature.r * s_inv) % curve.n
-    point = mul_double(u1, curve.generator, u2, public_key)
-    if point.is_infinity:
-        return False
-    return point.x % curve.n == signature.r
+    u1, u2 = scalars
+    return mul_double(
+        u1, public_key.curve.generator, u2, public_key, x_mod_n=signature.r
+    )
 
 
 def verify_batch(
     items,
     hash_name: str = "sha256",
 ) -> list[bool]:
-    """Verify many ECDSA signatures with one shared Jacobian normalization.
+    """Verify many ECDSA signatures in one backend call.
 
     Args:
         items: iterable of ``(public_key, message, signature)`` triples;
             all public keys must live on one curve.
         hash_name: digest for every message.
 
-    Each verification still computes its own ``u1*G + u2*Q`` double
-    multiplication — the asymptotic cost is unchanged and one
-    ``ecdsa.verify`` event is recorded per item, exactly like calling
-    :func:`verify` in a loop — but the per-item Jacobian→affine inversion
-    collapses into a single Montgomery-trick :func:`~repro.ec.batch_inverse`
-    via :func:`~repro.ec.mul_double_batch`.  This is the CA-side win when a
+    Each verification still decides its own ``u1*G + u2*Q`` predicate —
+    the asymptotic cost is unchanged and one ``ecdsa.verify`` event is
+    recorded per item, exactly like calling :func:`verify` in a loop —
+    but the terms go to the backend together through
+    :func:`~repro.ec.mul_double_batch`, where the reference path shares
+    one Montgomery-trick :func:`~repro.ec.batch_inverse` across the
+    per-item Jacobian→affine conversions.  This is the CA-side win when a
     whole queue of enrollment-request signatures is authenticated at once.
 
     Returns a per-item list of booleans (malformed items verify False,
@@ -178,35 +193,26 @@ def verify_batch(
         raise SignatureError(f"unknown hash {hash_name!r}")
     results = [False] * len(items)
     terms = []
-    term_meta: list[tuple[int, Curve, int]] = []  # (item index, curve, r)
-    curve_name: str | None = None
+    rs = []
+    indices = []
+    curve_name = items[0][0].curve.name
     for index, (public_key, message, signature) in enumerate(items):
         curve = public_key.curve
-        if curve_name is None:
-            curve_name = curve.name
-        elif curve.name != curve_name:
+        if curve.name != curve_name:
             raise SignatureError(
                 "verify_batch requires all public keys on one curve"
             )
-        if public_key.is_infinity or signature.curve.name != curve.name:
+        scalars = _verify_scalars(public_key, message, signature, hash_name)
+        if scalars is None:
             continue
-        trace.record("ecdsa.verify")
-        message_hash = new_hash(hash_name, message).digest()
-        e = _hash_to_int(message_hash, curve.n)
-        try:
-            s_inv = inverse_mod(signature.s, curve.n)
-        except Exception:
-            continue
-        u1 = (e * s_inv) % curve.n
-        u2 = (signature.r * s_inv) % curve.n
+        u1, u2 = scalars
         terms.append((u1, curve.generator, u2, public_key))
-        term_meta.append((index, curve, signature.r))
-    if not terms:
-        return results
-    points = mul_double_batch(terms, term_meta[0][1])
-    for (index, curve, r), point in zip(term_meta, points):
-        if not point.is_infinity:
-            results[index] = point.x % curve.n == r
+        rs.append(signature.r)
+        indices.append(index)
+    if terms:
+        matches = mul_double_batch(terms, terms[0][3].curve, x_mod_n=rs)
+        for index, match in zip(indices, matches):
+            results[index] = match
     return results
 
 

@@ -107,10 +107,10 @@ class ProfilingBackend:
         bucket["wall_ns"] += wall_ns
         bucket["calls"] += calls
 
-    def _timed(self, event, method, *args, calls: int = 1):
+    def _timed(self, event, method, *args, calls: int = 1, **kwargs):
         start = time.perf_counter_ns()
         try:
-            return method(*args)
+            return method(*args, **kwargs)
         finally:
             self._add(event, time.perf_counter_ns() - start, calls=calls)
 
@@ -146,16 +146,19 @@ class ProfilingBackend:
         """Delegate ``ec_mul_base``, timed under ``ec.mul_base``."""
         return self._timed("ec.mul_base", self.inner.ec_mul_base, curve, k)
 
-    def ec_mul(self, curve, k, point):
-        """Delegate ``ec_mul``, timed under ``ec.mul_point``."""
-        return self._timed("ec.mul_point", self.inner.ec_mul, curve, k, point)
+    def ec_mul(self, curve, k, point, *, x_only=False):
+        """Delegate ``ec_mul`` (both forms), timed under ``ec.mul_point``."""
+        return self._timed(
+            "ec.mul_point", self.inner.ec_mul, curve, k, point, x_only=x_only
+        )
 
-    def ec_mul_double(self, curve, u, p_point, v, q_point):
-        """Delegate ``ec_mul_double``, timed under ``ec.mul_double``."""
+    def ec_mul_double(self, curve, u, p_point, v, q_point, *, x_mod_n=None):
+        """Delegate both ``ec_mul_double`` forms, under ``ec.mul_double``."""
         return self._timed(
             "ec.mul_double",
             self.inner.ec_mul_double,
             curve, u, p_point, v, q_point,
+            x_mod_n=x_mod_n,
         )
 
     def ec_mul_base_batch(self, curve, ks):
@@ -165,11 +168,11 @@ class ProfilingBackend:
             calls=len(ks),
         )
 
-    def ec_mul_double_batch(self, curve, terms):
+    def ec_mul_double_batch(self, curve, terms, *, x_mod_n=None):
         """Delegate the batch; one timing, ``len(terms)`` calls."""
         return self._timed(
             "ec.mul_double", self.inner.ec_mul_double_batch, curve, terms,
-            calls=len(terms),
+            calls=len(terms), x_mod_n=x_mod_n,
         )
 
     def ec_normalize_batch(self, curve, jacs):
@@ -178,6 +181,10 @@ class ProfilingBackend:
             "ec.normalize", self.inner.ec_normalize_batch, curve, jacs,
             calls=len(jacs),
         )
+
+    def ec_decompress(self, curve, x, odd):
+        """Delegate ``ec_decompress`` (no primitive class: untimed)."""
+        return self.inner.ec_decompress(curve, x, odd)
 
     def describe(self) -> dict:
         """The inner backend's description, marked ``profiled``."""

@@ -294,13 +294,60 @@ class TestAesParity:
 
 import pytest  # noqa: E402  (section-local: the EC tests parametrize)
 
-from repro.ec import CURVES, encode_point, mul_base, mul_double, mul_point  # noqa: E402
-from repro.ecdsa import Signature, sign, verify, verify_batch  # noqa: E402
+import dataclasses  # noqa: E402
+
+from repro.ec import (  # noqa: E402
+    CURVES,
+    decode_point,
+    encode_point,
+    legendre_symbol,
+    mul_base,
+    mul_double,
+    mul_point,
+    mul_point_x,
+)
+from repro.ecdsa import (  # noqa: E402
+    Signature,
+    shared_secret_bytes,
+    sign,
+    verify,
+    verify_batch,
+)
+from repro.errors import PointDecodingError  # noqa: E402
+
+#: A curve the accelerated backend cannot hand to OpenSSL (its name is
+#: not one OpenSSL knows), so every new path takes its fallback.
+NON_OPENSSL = dataclasses.replace(CURVES["secp256r1"], name="custom-p256")
+ALL_CURVES = [CURVES[name] for name in sorted(CURVES)] + [NON_OPENSSL]
+CURVE_IDS = [curve.name for curve in ALL_CURVES]
 
 
 def _edge_scalars(curve):
     n = curve.n
     return [1, 2, n - 2, n - 1, n, n + 1]
+
+
+def _raw_signature(curve, r, s):
+    """A Signature that skips the constructor's range check."""
+    signature = object.__new__(Signature)
+    for field, value in (("curve", curve), ("r", r), ("s", s)):
+        object.__setattr__(signature, field, value)
+    return signature
+
+
+def _non_residue_x(curve):
+    """The smallest ``x`` whose curve right-hand side is a non-residue."""
+    x = 0
+    while legendre_symbol(curve.rhs(x), curve.p) != -1:
+        x += 1
+    return x
+
+
+def _decode_outcome(curve, data):
+    try:
+        return encode_point(decode_point(curve, data), compressed=False)
+    except PointDecodingError as exc:
+        return ("PointDecodingError", str(exc))
 
 
 class TestEcParity:
@@ -373,5 +420,126 @@ class TestEcParity:
             return b"".join(
                 sig.to_bytes() for _, _, sig in items
             ) + bytes(results)
+
+        assert_parity(scenario)
+
+    @pytest.mark.parametrize("curve", ALL_CURVES, ids=CURVE_IDS)
+    def test_x_only_matches_full_multiplication(self, curve):
+        def scenario():
+            q = mul_base(0xB0A710AD % curve.n, curve)
+            out = []
+            for k in [0] + _edge_scalars(curve):
+                x = mul_point_x(k, q)
+                full = mul_point(k, q)
+                assert x == full.x
+                out.append(x)
+                if 1 <= k < curve.n:
+                    assert shared_secret_bytes(k, q) == x.to_bytes(
+                        curve.field_bytes, "big"
+                    )
+            return out
+
+        assert_parity(scenario)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        curve=st.sampled_from(ALL_CURVES),
+        xs=st.lists(st.integers(min_value=0), min_size=1, max_size=4),
+    )
+    def test_decompression_random_x_both_parities(self, curve, xs):
+        width = curve.field_bytes
+
+        def scenario():
+            out = []
+            for x in xs:
+                x %= curve.p
+                for prefix in (2, 3):
+                    data = bytes([prefix]) + x.to_bytes(width, "big")
+                    out.append(_decode_outcome(curve, data))
+            return out
+
+        assert_parity(scenario)
+
+    @pytest.mark.parametrize("curve", ALL_CURVES, ids=CURVE_IDS)
+    def test_decompression_error_lanes(self, curve):
+        width = curve.field_bytes
+        bad_x = _non_residue_x(curve)
+
+        def scenario():
+            out = []
+            for x in (0, bad_x, curve.p - 1, curve.p, curve.p + 1):
+                for prefix in (2, 3):
+                    data = bytes([prefix]) + x.to_bytes(width, "big")
+                    out.append(_decode_outcome(curve, data))
+            return out
+
+        outcomes = assert_parity(scenario)
+        # The non-residue and both x >= p lanes raise on either parity.
+        assert all(isinstance(o, tuple) for o in outcomes[2:4] + outcomes[6:])
+
+    @pytest.mark.parametrize("curve", ALL_CURVES, ids=CURVE_IDS)
+    def test_verify_lanes(self, curve):
+        n = curve.n
+        d = 0xC0FFEE % n
+        public = mul_base(d, curve)
+        other = mul_base(d + 1, curve)
+        message = b"verify lanes"
+        good = sign(curve, d, message)
+
+        def scenario():
+            lanes = [
+                (public, message, good),
+                (public, message + b"!", good),
+                (other, message, good),
+            ]
+            lanes += [
+                (public, message, _raw_signature(curve, r, good.s))
+                for r in (0, n, n + 1)
+            ]
+            lanes += [
+                (public, message, _raw_signature(curve, good.r, s))
+                for s in (0, n)
+            ]
+            singles = [verify(*lane) for lane in lanes]
+            assert singles == [True] + [False] * (len(lanes) - 1)
+            assert verify_batch(lanes) == singles
+            # The predicate itself, on x values straddling the range.
+            u, v = 0x1234 % n, 0x5678 % n
+            x = mul_double(u, curve.generator, v, public).x
+            predicates = [
+                mul_double(u, curve.generator, v, public, x_mod_n=r)
+                for r in (x % n, (x + 1) % n, 0, n, n + 1)
+            ]
+            assert predicates == [True, False, False, False, False]
+            return singles + predicates
+
+        assert_parity(scenario)
+
+    @pytest.mark.parametrize(
+        "curve_name, hash_name",
+        [
+            ("secp256r1", "sha384"),
+            ("secp256r1", "sha512"),
+            ("secp384r1", "sha256"),
+        ],
+    )
+    def test_verify_digest_truncation(self, curve_name, hash_name):
+        curve = CURVES[curve_name]
+        d = 0xFACADE % curve.n
+        public = mul_base(d, curve)
+
+        def scenario():
+            out = []
+            for index in range(4):
+                message = b"truncate %d" % index
+                signature = sign(curve, d, message, hash_name)
+                out.append(signature.to_bytes())
+                out.append(verify(public, message, signature, hash_name))
+                out.append(
+                    verify(public, message + b"?", signature, hash_name)
+                )
+            assert out[1::3] == [True] * 4
+            assert out[2::3] == [False] * 4
+            return out
 
         assert_parity(scenario)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from repro.ec import (
     mul_ladder,
     mul_point,
 )
+from repro.backend import use_backend
 from repro.ec.scalarmult import _wnaf
 from repro.errors import CurveError
 from repro import trace
@@ -95,6 +98,21 @@ class TestMulDouble:
     def test_cross_curve_rejected(self):
         with pytest.raises(CurveError):
             mul_double(1, G, 1, SECP256R1.generator)
+
+    @pytest.mark.parametrize("backend", ["reference", "accelerated"])
+    def test_same_named_aliased_curve_rejected(self, backend):
+        # Same name and equation, generator 2G: Q's coordinates are valid
+        # on both curves, so only a full-value comparison catches it
+        # before the backend (where OpenSSL would raise a bare error).
+        g2 = mul_point(2, G)
+        alias = dataclasses.replace(C, gx=g2.x, gy=g2.y)
+        q = mul_point(5, G)
+        aliased_q = Point(alias, q.x, q.y)
+        with use_backend(backend):
+            with pytest.raises(CurveError):
+                mul_double(1, G, 1, aliased_q)
+            with pytest.raises(CurveError):
+                mul_double(1, G, 1, aliased_q, x_mod_n=1)
 
 
 class TestWnaf:

@@ -115,6 +115,17 @@ class TestProfileFleetRun:
         assert rows["ec.mul_base"]["trace_event"] == "ec.mul_base"
         assert rows["sha2"]["trace_event"] == "sha2.block"
 
+    def test_profiled_accelerated_run_keeps_digest_and_reconciles(self):
+        # The x-only and verify-predicate keyword forms go through the
+        # profiler too: same digest, one timed call per counted event.
+        plain = run_fleet(dataclasses.replace(_CONFIG, backend="accelerated"))
+        report = profile_fleet_run(_CONFIG, backend="accelerated")
+        assert report.digest == plain.stats.digest()
+        rows = {row["event"]: row for row in report.rows()}
+        for event in ("ec.mul_point", "ec.mul_double"):
+            assert rows[event]["trace_count"] > 0
+            assert rows[event]["calls"] == rows[event]["trace_count"]
+
     def test_as_dict_is_json_shaped(self):
         import json
 
