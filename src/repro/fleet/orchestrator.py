@@ -71,11 +71,12 @@ from ..errors import (
     AuthenticationError,
     CertificateError,
     ConfigError,
+    PolicyError,
     ScenarioError,
     SimulationError,
 )
 from ..hardware import DeviceModel, get_device
-from ..primitives import HmacDrbg, sha256
+from ..primitives import HmacDrbg
 from ..protocols import (
     SessionContext,
     SessionExpired,
@@ -154,15 +155,6 @@ class FleetConfig:
         record_bytes: application payload size per record.
         pool_size: ephemeral pool entries per vehicle (0 disables).
         ca_batch_limit: max requests a CA folds into one issuance batch.
-        use_batch_ec: route CA issuance and Op1 through the batched EC
-            APIs.  ``False`` disables ephemeral pools (so every Op1
-            pays its ``ec.mul_base`` on the timeline) and issues
-            certificates scalar-at-a-time.  Note the *priced* cost of
-            issuance itself is identical either way — the cost model
-            folds normalization into the ``ec.mul_base`` event — so
-            this flag changes simulated time only through pooling;
-            the batched-normalization win is a host wall-clock effect
-            measured by ``bench_fleet_scale.py``.
         cert_validity_seconds: certificate-session length for issued
             credentials.
         shards: number of gateway shards.  ``1`` reproduces the
@@ -214,10 +206,13 @@ class FleetConfig:
             default) is today's in-process event loop, bit-identical to
             every historical run.  ``workers > 1`` partitions the
             gateway shards round-robin across worker processes when the
-            configuration is provably shard-independent (static-hash
-            placement, ``shards >= 2``, no V2V, no failover/rejoin, no
-            re-balancing, no roaming profiles, no stale-cert floods —
-            see :func:`repro.fleet.parallel.partition_plan`); each
+            configuration is provably shard-independent (``shards >= 2``,
+            no V2V, no failover/rejoin, and every policy rule the run
+            resolves declares ``shard_local`` — static-hash placement
+            and the expiry re-key do; round-robin/least-loaded
+            placement, re-balancing, roaming and the alternative
+            bundles do not — see
+            :func:`repro.fleet.parallel.partition_plan`); each
             worker simulates only its shards' event streams and the
             barrier merge reproduces the single-worker
             :class:`~repro.fleet.stats.FleetStats` digest **bit-for-bit**
@@ -279,7 +274,6 @@ class FleetConfig:
     record_bytes: int = 32
     pool_size: int = 4
     ca_batch_limit: int = 64
-    use_batch_ec: bool = True
     cert_validity_seconds: int = 24 * 3600
     shards: int = 1
     shard_policy: str = "static-hash"
@@ -636,10 +630,6 @@ class FleetOrchestrator:
         self.policy = PolicyEngine(
             resolve_policies(config, self.schedule), hooks=self._hooks
         )
-        # The assignment point lives inside FleetTopology.assign (after
-        # the pinned-shard check), so every caller — enrollment, failover
-        # requeue, handover — routes through the same policy decision.
-        self.topology.policy_hook = self._assign_decision
 
     # -- deterministic context factories --------------------------------------
 
@@ -709,7 +699,7 @@ class FleetOrchestrator:
         self._vehicle_energy.add(self.vehicle_device.energy_mj(cost))
 
         def submit() -> None:
-            shard = self.topology.assign(vehicle)
+            shard = self._assign(vehicle)
             vehicle.shard = shard.index
             shard.vehicles_assigned += 1
             shard.active_vehicles += 1
@@ -763,21 +753,14 @@ class FleetOrchestrator:
                     else:
                         log["rejected"] += 1
             requests = [entry.request for entry in legit]
-            if not requests:
-                issued = []
-            elif self.config.use_batch_ec:
-                issued = shard.ca.issue_batch(
+            issued = (
+                shard.ca.issue_batch(
                     requests,
                     validity_seconds=self.config.cert_validity_seconds,
                 )
-            else:
-                issued = [
-                    shard.ca.issue(
-                        request,
-                        validity_seconds=self.config.cert_validity_seconds,
-                    )
-                    for request in requests
-                ]
+                if requests
+                else []
+            )
         # Bind the issuing key now: a rejoin may roll shard.ca to a new
         # epoch before this batch's delivery event fires.
         issuer_public = shard.ca.public_key
@@ -821,11 +804,7 @@ class FleetOrchestrator:
             vehicle.credential = requester.process_response(
                 issued, issuer_public
             )
-            if (
-                self.config.use_batch_ec
-                and self.config.pool_size > 0
-                and vehicle.pool is None
-            ):
+            if self.config.pool_size > 0 and vehicle.pool is None:
                 # Re-enrollments keep the existing pool: its DRBG stream
                 # must never be replayed from the start.
                 vehicle.pool = EphemeralPool(
@@ -995,29 +974,38 @@ class FleetOrchestrator:
             last_storm_ms=self._last_storm_ms,
         )
 
-    def _assign_decision(self, vehicle: Vehicle) -> "GatewayShard | None":
-        """Topology hook: the shard-assignment decision point.
+    def _assign(self, vehicle: Vehicle) -> GatewayShard:
+        """The shard-assignment decision point: the one placement path.
 
-        Consulted by :meth:`FleetTopology.assign` after its pinned-shard
-        check; ``None`` (no assign rules, or every rule passed) falls
-        back to the topology's own legacy arithmetic.
+        Enrollment, failover requeue and handover all place through
+        here.  An alive convoy pin wins over every rule (a pin whose
+        shard is down falls through to the rules, i.e. failover
+        adoption); otherwise the first assign rule to answer places the
+        vehicle.  A bundle that places nobody is a
+        :class:`~repro.errors.PolicyError`, never a silent fallback.
         """
-        if not self.policy.has_rules("assign"):
-            return None
+        if not self.topology.alive_shards():
+            raise SimulationError("no alive gateway shard to assign to")
+        if vehicle.pinned_shard is not None:
+            pinned = self.shards[vehicle.pinned_shard]
+            if not pinned.failed:
+                return pinned
         decision = self.policy.decide(
             "assign", self._policy_state("assign", vehicle)
         )
         if decision is None:
-            return None
+            raise PolicyError(
+                f"no assign rule placed {vehicle.name}; every policy"
+                " bundle must install a rule at the 'assign' point"
+            )
         return self.shards[decision.target_shard]
 
     def _adopt_target(self, vehicle: Vehicle) -> GatewayShard:
         """Failover adoption: the failover decision point.
 
         A failover rule picks the adopting shard; with none installed
-        (the ``default`` bundle) adoption falls through to
-        :meth:`FleetTopology.assign` — the legacy behavior, which itself
-        routes placement through the assignment point.
+        (the ``default`` bundle), or when every failover rule passes,
+        adoption is a fresh placement through :meth:`_assign`.
         """
         if self.policy.has_rules("failover"):
             decision = self.policy.decide(
@@ -1025,7 +1013,7 @@ class FleetOrchestrator:
             )
             if decision is not None:
                 return self.shards[decision.target_shard]
-        return self.topology.assign(vehicle)
+        return self._assign(vehicle)
 
     # -- churn: rejoin, migration, re-enrollment --------------------------------
 
@@ -1809,46 +1797,90 @@ class FleetOrchestrator:
         with use_backend(self.config.backend):
             return self._run(max_events)
 
-    # -- process-parallel support -------------------------------------------
+    # -- the event loop ----------------------------------------------------------
 
     def _predicted_shard(self, vehicle: Vehicle) -> int:
         """The shard a vehicle will be assigned to, computed statically.
 
         Only valid under the parallel-execution preconditions
-        (:func:`repro.fleet.parallel.partition_plan`): static-hash
-        placement with every shard alive, where assignment is a pure
-        function of the vehicle identity (or its scenario shard pin) —
-        the same arithmetic :meth:`FleetTopology.assign` runs.
+        (:func:`repro.fleet.parallel.partition_plan`): every rule is
+        shard-local, so placement is a pure function of the vehicle
+        identity (or its scenario shard pin).  The assign rules answer
+        it themselves — first match against an all-alive fleet, each
+        with throwaway memory — and never through
+        :meth:`~repro.fleet.policy.PolicyEngine.decide`, which would
+        tally the prediction as a decision.
         """
         if vehicle.pinned_shard is not None:
             return vehicle.pinned_shard
-        digest = sha256(b"fleet|shard-assign|" + vehicle.device_id)
-        return int.from_bytes(digest[:8], "big") % self.config.shards
+        state = FleetState(
+            point="assign",
+            now_ms=0.0,
+            vehicle=self._vehicle_view(vehicle),
+            shards=tuple(
+                ShardView(
+                    index=index,
+                    failed=False,
+                    active_vehicles=0,
+                    queue_depth=0,
+                    epoch=1,
+                    utilisation=0.0,
+                )
+                for index in range(self.config.shards)
+            ),
+        )
+        for rule in self.policy.rules("assign"):
+            decision = rule.evaluate(state, {})
+            if decision is not None:
+                return decision.target_shard
+        raise PolicyError(
+            f"no assign rule placed {vehicle.name}; every policy"
+            " bundle must install a rule at the 'assign' point"
+        )
 
-    def _run_partition(self, owned: frozenset, max_events: int) -> None:
-        """Drive only the event streams of the ``owned`` shards.
+    def _run_partition(
+        self, owned: "frozenset | None", max_events: int
+    ) -> None:
+        """Drive the event loop over the whole fleet or ``owned`` shards.
 
-        Schedules arrivals for vehicles statically assigned to an owned
-        shard and injections targeting an owned shard, in the exact
-        relative order the serial loop schedules them — so by induction
-        every owned shard sees a bit-identical event stream (shard
-        streams are independent under the partition-plan preconditions,
-        and co-timed events keep their scheduling order because omitted
-        foreign events never interleave *within* a shard's stream).
-        Runs under the caller's backend scope; stats assembly is the
-        caller's job (:mod:`repro.fleet.parallel` merges snapshots).
+        ``owned=None`` is the serial run: every arrival, the scheduled
+        shard failure and rejoin, and every injection.  A set of shard
+        indices is one worker's partition (:mod:`repro.fleet.parallel`):
+        only arrivals of vehicles predicted onto an owned shard and
+        injections targeting one are scheduled, in the exact relative
+        order the serial run schedules them — so by induction every
+        owned shard sees a bit-identical event stream (shard streams are
+        independent under the partition-plan preconditions, and co-timed
+        events keep their scheduling order because omitted foreign events
+        never interleave *within* a shard's stream).  Runs under the
+        caller's backend scope; stats assembly is the caller's job.
         """
+
+        def mine(vehicle: Vehicle) -> bool:
+            return owned is None or self._predicted_shard(vehicle) in owned
+
         if self._hooks is not None:
             self._hooks.run_started(self)
         for vehicle in self.vehicles:
-            if self._predicted_shard(vehicle) not in owned:
-                continue
+            if mine(vehicle):
+                self.sim.schedule_at(
+                    vehicle.arrival_ms,
+                    (lambda v: lambda: self._arrive(v))(vehicle),
+                )
+        if owned is None and self.config.shard_fail_at_ms is not None:
             self.sim.schedule_at(
-                vehicle.arrival_ms, (lambda v: lambda: self._arrive(v))(vehicle)
+                self.config.shard_fail_at_ms, self._fail_shard
+            )
+        if owned is None and self.config.shard_rejoin_at_ms is not None:
+            self.sim.schedule_at(
+                self.config.shard_rejoin_at_ms, self._rejoin_shard
             )
         if self.schedule is not None:
             for index, spec in enumerate(self.schedule.injections):
-                if getattr(spec, "target_shard", None) not in owned:
+                if (
+                    owned is not None
+                    and getattr(spec, "target_shard", None) not in owned
+                ):
                     continue
                 self.sim.schedule_at(
                     spec.at_ms,
@@ -1858,42 +1890,8 @@ class FleetOrchestrator:
                 )
         self.sim.run(max_events=max_events)
         unfinished = [
-            v.name
-            for v in self.vehicles
-            if v.done_at is None and self._predicted_shard(v) in owned
+            v.name for v in self.vehicles if v.done_at is None and mine(v)
         ]
-        if unfinished:
-            raise SimulationError(
-                f"fleet partition ended with unfinished vehicles:"
-                f" {unfinished[:5]}"
-            )
-
-    def _run(self, max_events: int) -> FleetResult:
-        """The storm itself (already scoped to the configured backend)."""
-        if self._hooks is not None:
-            self._hooks.run_started(self)
-        for vehicle in self.vehicles:
-            self.sim.schedule_at(
-                vehicle.arrival_ms, (lambda v: lambda: self._arrive(v))(vehicle)
-            )
-        if self.config.shard_fail_at_ms is not None:
-            self.sim.schedule_at(
-                self.config.shard_fail_at_ms, self._fail_shard
-            )
-        if self.config.shard_rejoin_at_ms is not None:
-            self.sim.schedule_at(
-                self.config.shard_rejoin_at_ms, self._rejoin_shard
-            )
-        if self.schedule is not None:
-            for index, spec in enumerate(self.schedule.injections):
-                self.sim.schedule_at(
-                    spec.at_ms,
-                    (
-                        lambda i, s: lambda: self._run_injection(i, s)
-                    )(index, spec),
-                )
-        self.sim.run(max_events=max_events)
-        unfinished = [v.name for v in self.vehicles if v.done_at is None]
         if unfinished:
             raise SimulationError(
                 f"fleet run ended with unfinished vehicles: {unfinished[:5]}"
@@ -1908,6 +1906,10 @@ class FleetOrchestrator:
                 f"fleet run ended with unfinished V2V pairs:"
                 f" {unfinished_pairs[:5]}"
             )
+
+    def _run(self, max_events: int) -> FleetResult:
+        """The serial storm and its stats (already backend-scoped)."""
+        self._run_partition(None, max_events)
         now = self.sim.now
         per_shard = tuple(shard.stats(now) for shard in self.shards)
         merged = merge_shard_stats(per_shard)

@@ -29,16 +29,26 @@ What makes a configuration partitionable
 ----------------------------------------
 
 :func:`partition_plan` returns a plan only when shard event streams are
-provably independent: static-hash placement (assignment is a pure
-function of the vehicle identity / scenario pin), at least two shards,
-no V2V pairings (cross-shard sessions), no failover/rejoin (handovers
-move vehicles between shards and bump chain epochs), no live
-re-balancing and no roaming profiles (load-driven migrations), and no
-stale-cert floods (they require a failover).  Everything else — replay
-storms, CA-queue floods, burst/diurnal/Poisson arrivals, convoy pins,
-behavior profiles — stays per-shard and parallelises.  Configurations
-that fail the check fall back to the serial loop, where digest parity is
-trivial.
+provably independent.  The topology contributes three facts: at least
+two shards, no V2V pairings (cross-shard sessions) and no
+failover/rejoin (handovers move vehicles between shards and bump chain
+epochs).  The strategies answer for themselves: every rule
+:func:`~repro.fleet.policy.resolve_policies` yields for the run must
+declare ``shard_local`` (see :func:`~repro.fleet.policy.register_policy`).
+``ShardPolicyAssign`` is shard-local only for ``static-hash``, which
+makes placement a pure function of the vehicle identity — how a worker
+predicts its vehicles; ``SessionExpiryRekey`` is shard-local;
+re-balancing, roaming, storm re-keying (a fleet-global storm window) and
+failover spreading are not, nor is a rule that declares nothing.
+Everything else — replay storms, CA-queue floods, burst/diurnal/Poisson
+arrivals, convoy pins, behavior profiles — stays per-shard and
+parallelises.  Configurations that fail the check fall back to the
+serial loop, where digest parity is trivial.
+
+Workers run in a :class:`concurrent.futures.ProcessPoolExecutor`; a
+worker process that dies breaks the pool, and the parent raises a
+:class:`~repro.errors.SimulationError` naming the workers (and their
+shards) that returned no snapshot instead of waiting forever.
 
 Transport integrity
 -------------------
@@ -66,7 +76,7 @@ from dataclasses import dataclass
 
 from ..backend import get_backend, use_backend
 from ..errors import SimulationError
-from .scenario import StaleCertFlood
+from .policy import resolve_policies
 from .stats import (
     ExactSum,
     FleetStats,
@@ -214,41 +224,15 @@ def partition_plan(config, schedule) -> PartitionPlan | None:
     docstring for the full argument); the orchestrator treats ``None``
     as "run the serial loop".
     """
-    if config.workers <= 1:
+    if config.workers <= 1 or config.shards < 2:
         return None
-    if config.shards < 2:
+    if config.v2v_fraction > 0.0 or config.shard_fail_at_ms is not None:
         return None
-    if config.shard_policy != "static-hash":
-        # round-robin / least-loaded assignment depends on the dynamic
-        # arrival interleaving across shards.
+    if not all(
+        getattr(rule, "shard_local", False)
+        for rule in resolve_policies(config, schedule)
+    ):
         return None
-    if config.v2v_fraction > 0.0:
-        return None
-    if config.shard_fail_at_ms is not None:
-        return None
-    if config.migrate_threshold is not None:
-        return None
-    if config.policy not in (None, "default"):
-        # Alternative bundles may migrate on cross-shard load signals
-        # (utilisation re-balancing, failover spreading), coupling the
-        # shard streams; the default bundle is the extracted legacy
-        # strategies, independent under the remaining guards.
-        return None
-    if schedule is not None:
-        if schedule.scenario.policies:
-            # Scenario-shipped rules are arbitrary plugins — assume
-            # coupled.
-            return None
-        if any(
-            profile.roam_every is not None
-            for profile in schedule.profiles.values()
-        ):
-            return None
-        if any(
-            isinstance(spec, StaleCertFlood)
-            for spec in schedule.injections
-        ):
-            return None
     workers = min(config.workers, config.shards)
     owned: list[list[int]] = [[] for _ in range(workers)]
     for shard in range(config.shards):
@@ -373,6 +357,13 @@ def run_parallel(
     (that is the point: the parent never materialises per-vehicle
     state) — so callers needing timelines should run ``workers=1``.
     """
+    # Imported here, not at module level: a serial run never pays for
+    # the executor's modules (they add to every run's peak RSS).
+    from concurrent.futures.process import (
+        BrokenProcessPool,
+        ProcessPoolExecutor,
+    )
+
     from .orchestrator import FleetResult
 
     # Resolve the ambient backend to a concrete name so spawn-started
@@ -388,8 +379,23 @@ def run_parallel(
         for w in range(plan.workers)
     ]
     ctx = multiprocessing.get_context(_start_method())
-    with ctx.Pool(processes=plan.workers) as pool:
-        snapshots = pool.map(_worker_run, payloads)
+    with ProcessPoolExecutor(max_workers=plan.workers, mp_context=ctx) as pool:
+        futures = [pool.submit(_worker_run, payload) for payload in payloads]
+        lost = [
+            w
+            for w, future in enumerate(futures)
+            if isinstance(future.exception(), BrokenProcessPool)
+        ]
+        if lost:
+            # A dead worker process breaks the whole pool: every worker
+            # still running then loses its result too.
+            named = ", ".join(
+                f"worker {w} (shards {list(plan.owned[w])})" for w in lost
+            )
+            raise SimulationError(
+                f"a worker process died; no snapshot from {named}"
+            ) from futures[lost[0]].exception()
+        snapshots = [future.result() for future in futures]
     for snap in snapshots:
         expected = _checksum(snap)
         if snap.checksum != expected:

@@ -38,6 +38,9 @@ into named **bundles** selected by ``FleetConfig.policy``.  A bundle
 that overrides an explicit config knob (``utilisation-rebalance``
 replaces ``migrate_threshold``) is rejected at config-validation time
 instead of silently preferring one — see :data:`BUNDLE_OVERRIDES`.
+Every rule declares whether it is ``shard_local``; a run partitions
+across worker processes only when all of its rules are (see
+:func:`register_policy`).
 
 >>> from repro.fleet.policy import ThresholdRebalance, load_policy, policy_dict
 >>> rule = ThresholdRebalance(threshold=2)
@@ -56,7 +59,6 @@ from ..errors import PolicyError
 from ..primitives import sha256
 from .topology import (
     POLICY_LEAST_LOADED,
-    POLICY_ROUND_ROBIN,
     POLICY_STATIC_HASH,
     SHARD_POLICIES,
 )
@@ -189,6 +191,15 @@ def register_policy(kind: str):
     class attribute naming one of :data:`DECISION_POINTS` and an
     ``evaluate(state, memory)`` method.  Registration makes the kind
     loadable by :func:`load_policy` and usable in scenario specs.
+
+    A rule also declares ``shard_local`` (a class attribute, or a
+    property when it depends on the rule's parameters): true when each
+    decision reads only the deciding vehicle and shard-independent
+    facts — never another shard's load, the arrival interleaving across
+    shards or a fleet-global signal.  A run partitions across worker
+    processes only when every rule it executes is shard-local
+    (:func:`repro.fleet.parallel.partition_plan`); a rule without the
+    declaration counts as coupled.
     """
     if not kind or not isinstance(kind, str):
         raise PolicyError(f"policy rule kind must be a non-empty string, got {kind!r}")
@@ -268,18 +279,24 @@ def load_policy(data):
 @register_policy("shard-assign")
 @dataclass(frozen=True)
 class ShardPolicyAssign:
-    """Shard assignment — the three legacy ``shard_policy`` arithmetics.
+    """Shard assignment — the three ``shard_policy`` arithmetics.
 
-    Bit-identical extraction of :meth:`FleetTopology.assign`:
-    ``static-hash`` places by identity digest over the *alive* list,
-    ``least-loaded`` picks the fewest active vehicles (index
-    tie-break), ``round-robin`` cycles a counter held in the engine's
-    per-rule memory.
+    The fleet's one placement implementation (the orchestrator only
+    honors alive convoy pins ahead of it): ``static-hash`` places by
+    identity digest over the *alive* list, ``least-loaded`` picks the
+    fewest active vehicles (index tie-break), ``round-robin`` cycles a
+    counter held in the engine's per-rule memory.  Only ``static-hash``
+    is shard-local: the other two read the arrival interleaving across
+    shards.
     """
 
     point = "assign"
-    overrides = ()
     policy: str = POLICY_STATIC_HASH
+
+    @property
+    def shard_local(self) -> bool:
+        """True for ``static-hash``, the identity-only placement."""
+        return self.policy == POLICY_STATIC_HASH
 
     def __post_init__(self) -> None:
         if self.policy not in SHARD_POLICIES:
@@ -318,7 +335,7 @@ class RoamCadence:
     """
 
     point = "migrate"
-    overrides = ()
+    shard_local = False
 
     def evaluate(self, state: FleetState, memory: dict) -> Decision | None:
         """Roam to the next alive shard when the cadence is hit."""
@@ -355,7 +372,7 @@ class ThresholdRebalance:
     """
 
     point = "migrate"
-    overrides = ()
+    shard_local = False
     threshold: int = 1
 
     def __post_init__(self) -> None:
@@ -400,7 +417,7 @@ class SessionExpiryRekey:
     """
 
     point = "rekey"
-    overrides = ()
+    shard_local = True
 
     def evaluate(self, state: FleetState, memory: dict) -> Decision | None:
         """Re-key exactly when the managers report the budget spent."""
@@ -427,7 +444,7 @@ class UtilisationRebalance:
     """
 
     point = "migrate"
-    overrides = ("migrate_threshold",)
+    shard_local = False
     max_utilisation: float = 0.8
 
     def __post_init__(self) -> None:
@@ -475,11 +492,12 @@ class StormRekey:
     much traffic any key replayed during the storm window protects.
     Reads the raw session record count snapshot (side-effect free);
     never suppresses a due re-key (:class:`SessionExpiryRekey` runs
-    after it as the backstop).
+    after it as the backstop).  Coupled: the storm window is the
+    fleet-global ``last_storm_ms``, set by a storm on any shard.
     """
 
     point = "rekey"
-    overrides = ()
+    shard_local = False
     window_ms: float = 2000.0
     budget: int = 4
 
@@ -509,15 +527,15 @@ class StormRekey:
 class FailoverSpread:
     """Spread failover adoptions over the least-loaded alive shards.
 
-    The legacy failover path adopts orphans via the configured
-    ``shard_policy`` (static-hash keeps a vehicle's identity placement,
-    which can dog-pile one survivor).  This rule adopts onto the
-    least-loaded alive shard instead, defer-ing (``None``) for vehicles
-    whose alive pin the topology must honor.
+    Without a failover rule, orphans are re-placed by the assign rule
+    (static-hash keeps a vehicle's identity placement, which can
+    dog-pile one survivor).  This rule adopts onto the least-loaded
+    alive shard instead, defer-ing (``None``) for vehicles whose alive
+    pin placement must honor.
     """
 
     point = "failover"
-    overrides = ()
+    shard_local = False
 
     def evaluate(self, state: FleetState, memory: dict) -> Decision | None:
         """Adopt an orphaned vehicle onto the least-loaded alive shard."""
@@ -684,6 +702,11 @@ class PolicyEngine:
                 f" (accepts: {list(DECISION_POINTS)})"
             )
         return bool(self._points[point])
+
+    def rules(self, point: str) -> tuple:
+        """The rules installed at ``point``, in evaluation order."""
+        self.has_rules(point)  # rejects unknown points
+        return tuple(rule for rule, _ in self._points[point])
 
     def decide(self, point: str, state: FleetState) -> Decision | None:
         """First-match evaluation of ``point``'s rules against ``state``."""

@@ -10,9 +10,10 @@ run.  This module generalizes the deployment to an explicit topology:
   chained to one fleet root (:func:`~repro.ecqv.chain.make_sub_ca`), and a
   shared :class:`~repro.ecqv.TrustStore` lets any fleet member validate
   any other member's certificate up to the root.
-* **Shard assignment policies** — ``static-hash`` (stable identity-based
-  placement), ``least-loaded`` (pick the shard with the fewest active
-  vehicles) and ``round-robin``.
+* **Shard assignment policy names** — ``static-hash`` (stable
+  identity-based placement), ``least-loaded`` (pick the shard with the
+  fewest active vehicles) and ``round-robin``.  The placement itself is
+  one policy rule, :class:`~repro.fleet.policy.ShardPolicyAssign`.
 * **V2V pairing** — a deterministic plan of vehicle↔vehicle sessions
   established directly between two enrolled vehicles, no gateway in the
   data path; cross-shard pairs exercise the trust chain.
@@ -213,14 +214,6 @@ class FleetTopology:
             if self.root_ca is not None
             else self.shards[0].ca.public_key
         )
-        self._round_robin = 0
-        #: Optional assignment override, set by the orchestrator: a
-        #: callable ``(vehicle) -> GatewayShard | None`` consulted by
-        #: :meth:`assign` after the pinned-shard check.  ``None`` (a
-        #: standalone topology, or every policy rule passing) keeps the
-        #: legacy arithmetic below — the ``default`` policy bundle
-        #: reproduces it bit-for-bit through this hook.
-        self.policy_hook = None
 
     # -- construction ---------------------------------------------------------
 
@@ -254,7 +247,7 @@ class FleetTopology:
             gw_issued, ca.public_key
         )
         pool: EphemeralPool | None = None
-        if config.use_batch_ec and config.pool_size > 0:
+        if config.pool_size > 0:
             pool = EphemeralPool(
                 config.curve,
                 HmacDrbg(config.seed, personalization=pool_pers),
@@ -397,45 +390,11 @@ class FleetTopology:
         shard.epoch = epoch
         return shard
 
-    # -- shard assignment ------------------------------------------------------
+    # -- liveness -------------------------------------------------------------
 
     def alive_shards(self) -> list[GatewayShard]:
         """Shards currently accepting work, in index order."""
         return [shard for shard in self.shards if not shard.failed]
-
-    def assign(self, vehicle: Vehicle) -> GatewayShard:
-        """Pick the serving shard for a vehicle under the configured policy.
-
-        Every policy is deterministic: ``static-hash`` places by a hash
-        of the vehicle identity, ``least-loaded`` picks the fewest active
-        vehicles (ties to the lowest index), ``round-robin`` cycles a
-        counter — all over the currently *alive* shards, so the same
-        policies drive both initial placement and failover adoption.
-        """
-        alive = self.alive_shards()
-        if not alive:
-            raise SimulationError("no alive gateway shard to assign to")
-        if vehicle.pinned_shard is not None:
-            # Platoon convoys pin to one shard; the pin wins over every
-            # policy while its shard is alive and falls back to the
-            # policy (failover adoption) while it is down.
-            pinned = self.shards[vehicle.pinned_shard]
-            if not pinned.failed:
-                return pinned
-        if self.policy_hook is not None:
-            chosen = self.policy_hook(vehicle)
-            if chosen is not None:
-                return chosen
-        policy = self.config.shard_policy
-        if policy == POLICY_STATIC_HASH:
-            digest = sha256(b"fleet|shard-assign|" + vehicle.device_id)
-            return alive[int.from_bytes(digest[:8], "big") % len(alive)]
-        if policy == POLICY_LEAST_LOADED:
-            return min(alive, key=lambda s: (s.active_vehicles, s.index))
-        # round-robin
-        shard = alive[self._round_robin % len(alive)]
-        self._round_robin += 1
-        return shard
 
 
 def plan_v2v_pairs(config) -> list[tuple[int, int]]:

@@ -101,7 +101,7 @@ class TestAblationAndPolicy:
                 max_records=3,
                 send_interval_ms=20.0,
                 arrival_spread_ms=30.0,
-                use_batch_ec=False,
+                pool_size=0,
             )
         )
         assert plain.stats.sessions_established == 8

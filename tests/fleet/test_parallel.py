@@ -9,16 +9,28 @@ serial loop rather than silently diverging.
 
 from __future__ import annotations
 
+import concurrent.futures.process
 import dataclasses
+import functools
+import multiprocessing
+import os
+import time
 
 import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.fleet import (
+    POLICY_BUNDLES,
+    POLICY_RULES,
     FleetConfig,
     FleetOrchestrator,
+    Scenario,
+    SessionExpiryRekey,
+    ThresholdRebalance,
+    compile_scenario,
     get_scenario,
     partition_plan,
+    register_policy,
     run_fleet,
 )
 from repro.fleet.parallel import _checksum
@@ -69,6 +81,49 @@ class TestPartitionPlan:
     def test_coupled_configs_are_rejected(self, overrides):
         config = _base(b"plan", workers=2, **overrides)
         assert partition_plan(config, None) is None
+
+    def test_bundle_plan_table(self):
+        # Every shipped bundle's plan, so a new bundle must take a side.
+        partitions = {
+            "default": True,
+            "utilisation-rebalance": False,
+            "storm-hardened": False,
+            "failover-spread": False,
+        }
+        assert set(partitions) == set(POLICY_BUNDLES)
+        for bundle, expected in partitions.items():
+            plan = partition_plan(_base(b"plan", workers=2, policy=bundle), None)
+            assert (plan is not None) == expected, bundle
+
+    @pytest.mark.parametrize(
+        "rule, partitions",
+        [
+            (SessionExpiryRekey(), True),
+            (ThresholdRebalance(threshold=1), False),
+        ],
+    )
+    def test_scenario_rules_fold_into_the_plan(self, rule, partitions):
+        config = _base(b"plan", workers=2)
+        scenario = Scenario(name="shipped-rule", policies=(rule,))
+        schedule = compile_scenario(scenario, config)
+        assert (partition_plan(config, schedule) is not None) == partitions
+
+    def test_rule_without_shard_local_counts_as_coupled(self):
+        @register_policy("test-undeclared-rekey")
+        @dataclasses.dataclass(frozen=True)
+        class UndeclaredRekey:
+            point = "rekey"
+
+            def evaluate(self, state, memory):
+                return None
+
+        try:
+            config = _base(b"plan", workers=2)
+            scenario = Scenario(name="plugin", policies=(UndeclaredRekey(),))
+            schedule = compile_scenario(scenario, config)
+            assert partition_plan(config, schedule) is None
+        finally:
+            del POLICY_RULES["test-undeclared-rekey"]
 
     def test_roaming_scenario_is_rejected(self):
         scenario = get_scenario("roaming-rebalance")
@@ -139,6 +194,17 @@ class TestDigestParity:
             _base(b"parity-stream", stream=True, workers=2)
         ).stats
         assert streamed.digest() == serial.digest()
+
+    def test_shard_local_scenario_rule_parallelises(self):
+        scenario = Scenario(
+            name="expiry-only", policies=(SessionExpiryRekey(),)
+        )
+        config = _base(b"parity-shipped")
+        parallel_config = dataclasses.replace(config, workers=2)
+        assert FleetOrchestrator(parallel_config, scenario)._plan is not None
+        serial = run_fleet(config, scenario=scenario).stats
+        parallel = run_fleet(parallel_config, scenario=scenario).stats
+        assert parallel.digest() == serial.digest()
 
     def test_churn_config_falls_back_and_still_matches(self):
         # Coupled config: workers>1 silently runs the serial loop.
@@ -215,11 +281,11 @@ class TestParallelResultSurface:
 
         monkeypatch.setattr(par, "_worker_run", corrupting_worker_run)
 
-        class _InlinePool:
+        class _InlineExecutor:
             # Runs the (monkeypatched) worker fn in-process so the
             # corruption survives; a real pool would pickle the real
             # module-level function.
-            def __init__(self, processes):
+            def __init__(self, max_workers, mp_context):
                 pass
 
             def __enter__(self):
@@ -228,16 +294,51 @@ class TestParallelResultSurface:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads):
-                return [par._worker_run(p) for p in payloads]
+            def submit(self, fn, payload):
+                future = concurrent.futures.Future()
+                future.set_result(fn(payload))
+                return future
 
         monkeypatch.setattr(
-            par.multiprocessing.get_context(par._start_method()).__class__,
-            "Pool",
-            lambda self, processes: _InlinePool(processes),
+            concurrent.futures.process, "ProcessPoolExecutor", _InlineExecutor
         )
         with pytest.raises(SimulationError, match="checksum"):
             run_fleet(_base(b"tamper2", workers=2))
+
+
+# -- failure paths end in typed errors ------------------------------------------
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_event_budget_exhaustion_raises(self, workers):
+        orch = FleetOrchestrator(_base(b"budget", workers=workers))
+        assert (orch._plan is not None) == (workers > 1)
+        with pytest.raises(SimulationError, match="exceeded 50 events"):
+            orch.run(max_events=50)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the dying worker is installed by fork inheritance",
+    )
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        from repro.fleet import parallel as par
+
+        real_worker_run = par._worker_run
+
+        def dying_worker_run(payload):
+            if payload[0] == 1:
+                os._exit(3)
+            return real_worker_run(payload)
+
+        # Same name and module, so the executor pickles it by reference
+        # to the module attribute it replaces (inherited by the fork).
+        functools.update_wrapper(dying_worker_run, real_worker_run)
+        monkeypatch.setattr(par, "_worker_run", dying_worker_run)
+        started = time.monotonic()
+        with pytest.raises(SimulationError, match=r"worker 1 \(shards \[1\]\)"):
+            run_fleet(_base(b"dead-worker", shards=2, workers=2))
+        assert time.monotonic() - started < 30
 
 
 # -- metrics absorb law -------------------------------------------------------

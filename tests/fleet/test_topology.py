@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import PolicyError, SimulationError
 from repro.fleet import (
     FleetConfig,
     FleetOrchestrator,
     FleetTopology,
+    POLICY_BUNDLES,
     POLICY_LEAST_LOADED,
     POLICY_ROUND_ROBIN,
     POLICY_STATIC_HASH,
     SHARD_POLICIES,
+    SessionExpiryRekey,
     plan_v2v_pairs,
     run_fleet,
 )
@@ -130,11 +132,26 @@ class TestShardPolicies:
 
     def test_static_hash_is_stable_per_identity(self):
         config = _topology_config(shards=4, shard_policy=POLICY_STATIC_HASH)
-        topo_a = FleetTopology(config)
-        topo_b = FleetTopology(config)
-        orchestrator = FleetOrchestrator(config)
-        for vehicle in orchestrator.vehicles:
-            assert topo_a.assign(vehicle).index == topo_b.assign(vehicle).index
+        orch_a = FleetOrchestrator(config)
+        orch_b = FleetOrchestrator(config)
+        for vehicle_a, vehicle_b in zip(orch_a.vehicles, orch_b.vehicles):
+            placed = orch_a._assign(vehicle_a).index
+            assert placed == orch_b._assign(vehicle_b).index
+            # The parallel path's static prediction is the same rule.
+            assert placed == orch_b._predicted_shard(vehicle_b)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bundle_without_assign_rule_raises(self, monkeypatch, workers):
+        # No silent fallback placement: a bundle that installs no
+        # assign rule is a typed error on the serial and parallel paths.
+        monkeypatch.setitem(
+            POLICY_BUNDLES,
+            "default",
+            lambda config, schedule: (SessionExpiryRekey(),),
+        )
+        config = _topology_config(shards=2, workers=workers)
+        with pytest.raises(PolicyError, match="no assign rule"):
+            run_fleet(config)
 
 
 class TestChainedTrust:
