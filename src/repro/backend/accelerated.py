@@ -65,6 +65,7 @@ _HASHLIB_CTORS = {
 
 _AES_BLOCK = 16
 _AES_ROUNDS = {16: 10, 24: 12, 32: 14}
+_CTR_MASK = (1 << 128) - 1
 
 
 def _check_hash_name(name: str) -> HashInfo:
@@ -163,8 +164,9 @@ class _AcceleratedAes:
         self.key_size = len(key)
         self.rounds = _AES_ROUNDS[len(key)]
         self._key = bytes(key)
-        # ECB contexts are built lazily: the hot fleet path only touches
-        # the CTR/CBC bulk helpers, which carry their own contexts.
+        # ECB contexts are built lazily: the encryptor on first use (CTR
+        # keystreams and single blocks), the decryptor only for ECB/block
+        # decryption; CBC carries its own per-message contexts.
         self._ecb_enc = None
         self._ecb_dec = None
 
@@ -235,15 +237,26 @@ class _AcceleratedAes:
         return dec.update(data) + dec.finalize()
 
     def ctr_keystream(self, nonce: bytes, length: int) -> bytes:
-        """AES-CTR keystream (128-bit big-endian counter) in one C call."""
+        """AES-CTR keystream through the persistent ECB context.
+
+        The counter blocks (NIST SP 800-38A, B.1 incrementing function
+        over the whole 128-bit block, wrapping mod 2^128) are encrypted
+        in one C call, so a session's cipher builds no context per
+        record.
+        """
         if length <= 0:
             return b""
+        if len(nonce) != _AES_BLOCK:
+            # A partial block would stay buffered in the shared context.
+            raise CryptoError(f"CTR nonce must be {_AES_BLOCK} bytes")
         n_blocks = (length + _AES_BLOCK - 1) // _AES_BLOCK
         trace.record("aes.block", n_blocks)
-        enc = _CrCipher(
-            _cr_algorithms.AES(self._key), _cr_modes.CTR(nonce)
-        ).encryptor()
-        return enc.update(b"\x00" * length) + enc.finalize()
+        counter = int.from_bytes(nonce, "big")
+        counters = b"".join(
+            ((counter + i) & _CTR_MASK).to_bytes(_AES_BLOCK, "big")
+            for i in range(n_blocks)
+        )
+        return self._ecb_encryptor().update(counters)[:length]
 
 
 class AcceleratedBackend(CryptoBackend):

@@ -45,6 +45,12 @@ SYM_RELATIVE_WEIGHTS: dict[str, float] = {
 }
 
 
+#: Distinct trace shapes one :class:`CostModel` remembers prices for; a
+#: fleet run prices a handful of shapes (one per record size and
+#: protocol step) millions of times.
+_PRICE_MEMO_LIMIT = 1024
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Per-event millisecond prices for one device.
@@ -54,12 +60,16 @@ class CostModel:
             (the dominant term; everything EC scales from it).
         hash_block_ms: cost of one SHA-2 compression (everything symmetric
             scales from it).
-        extra_ms: optional explicit per-event overrides/additions.
+        extra_ms: optional explicit per-event overrides/additions (fixed
+            once the model has priced a trace: :meth:`price` memoises).
     """
 
     scalar_mult_ms: float
     hash_block_ms: float
     extra_ms: dict[str, float] = field(default_factory=dict)
+    _memo: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def price_of(self, event: str) -> float:
         """Millisecond price of a single occurrence of ``event``.
@@ -76,11 +86,24 @@ class CostModel:
         return price
 
     def price(self, trace: CostTrace) -> float:
-        """Total milliseconds for every event recorded in ``trace``."""
-        return sum(
-            count * self.price_of(event)
-            for event, count in trace.counts.items()
-        )
+        """Total milliseconds for every event recorded in ``trace``.
+
+        Memoised per model on the trace's ``(event, count)`` items in
+        insertion order, so a hit returns the float the same summation
+        produced; the memo holds at most ``_PRICE_MEMO_LIMIT`` shapes,
+        evicting the oldest first.
+        """
+        key = tuple(trace.counts.items())
+        memo = self._memo
+        price = memo.get(key)
+        if price is None:
+            price = sum(
+                count * self.price_of(event) for event, count in key
+            )
+            if len(memo) >= _PRICE_MEMO_LIMIT:
+                del memo[next(iter(memo))]
+            memo[key] = price
+        return price
 
     def breakdown(self, trace: CostTrace) -> dict[str, float]:
         """Per-event millisecond contributions (sorted by event name)."""

@@ -7,6 +7,8 @@ octet strings.
 
 from __future__ import annotations
 
+from hmac import compare_digest as _compare_digest
+
 from .errors import ReproError
 
 
@@ -44,28 +46,25 @@ def byte_length(value: int) -> int:
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Compare two byte strings without data-dependent early exit.
+    """Compare two byte strings in time independent of where they differ.
 
-    Embedded implementations use this pattern to avoid timing side channels
-    when comparing MACs or signatures.  Python cannot give real constant-time
-    guarantees, but we keep the access pattern uniform so the simulated cost
-    (one pass over the data) matches what a device would do.
+    Used for every MAC and tag check.  :func:`hmac.compare_digest` runs
+    in C without a data-dependent early exit; a length mismatch returns
+    ``False`` (only the lengths, which are public, are revealed).
     """
-    if len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0
+    return _compare_digest(a, b)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
-    if len(a) != len(b):
+    n = len(a)
+    if n != len(b):
         raise ReproError(
-            f"xor_bytes length mismatch: {len(a)} vs {len(b)}"
+            f"xor_bytes length mismatch: {n} vs {len(b)}"
         )
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (
+        int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    ).to_bytes(n, "big")
 
 
 def chunks(data: bytes, size: int) -> list[bytes]:

@@ -16,6 +16,13 @@ premasters (one evaluation each) and two OpenSSL verifies.  Setting up
 the four shards reconstructs eight certificate keys (sixteen
 evaluations) that every later use finds in the memo.  Compressed points
 decode through OpenSSL, so ``sqrt_mod`` is never called.
+
+A records-shaped fleet (one long session per vehicle on one shard) pins
+the record path the same way: it counts ``cryptography`` ``Cipher``
+constructions.  Each session half builds one cipher, and each
+establishment builds four more for the two encrypted STS responses
+(sealed by one side, opened by the other); records build none, so the
+count does not grow with the records a session carries.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import dataclasses
 import pytest
 
 from repro.backend import (
+    accelerated,
     ec_accelerated,
     register_backend,
     unregister_backend,
@@ -36,6 +44,7 @@ from repro.backend.ec_accelerated import AcceleratedEc
 from repro.ec import SECP256R1, Point, encoding, mul_base
 from repro.ec.scalarmult import _mul_wnaf_untraced
 from repro.fleet import FleetConfig, run_fleet
+from repro.protocols import session
 
 pytestmark = pytest.mark.skipif(
     not ec_accelerated.OPENSSL_EC, reason="needs cryptography's EC module"
@@ -191,3 +200,60 @@ class TestProductMemo:
         assert aliased.curve is alias
         assert aliased == _mul_wnaf_untraced(k, Point(alias, point.x, point.y))
         assert len(engine._products) == 2
+
+
+RECORD_VEHICLES = 6
+
+
+def _records_run(records: int) -> collections.Counter:
+    """``Cipher`` constructions and session halves of one records run."""
+    counts = collections.Counter()
+    real_cipher, real_init = accelerated._CrCipher, session.SecureSession.__init__
+
+    def counting_cipher(algorithm, mode, *args, **kwargs):
+        counts["Cipher"] += 1
+        return real_cipher(algorithm, mode, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["session_halves"] += 1
+        real_init(self, *args, **kwargs)
+
+    config = FleetConfig(
+        n_vehicles=RECORD_VEHICLES,
+        seed=b"bench-fleet-scale",
+        records_per_vehicle=records,
+        max_records=records,  # one session per vehicle, no re-key
+        shards=1,
+        stream=True,
+    )
+    register_backend("op-count", AcceleratedBackend)
+    accelerated._CrCipher = counting_cipher
+    session.SecureSession.__init__ = counting_init
+    try:
+        with use_backend("op-count"):
+            stats = run_fleet(config).stats
+    finally:
+        accelerated._CrCipher = real_cipher
+        session.SecureSession.__init__ = real_init
+        unregister_backend("op-count")
+    assert stats.records_sent == RECORD_VEHICLES * records
+    return counts
+
+
+@pytest.mark.skipif(
+    not accelerated.AES_ACCELERATED, reason="needs cryptography's AES"
+)
+class TestRecordPathOpCounts:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {records: _records_run(records) for records in (2, 8)}
+
+    def test_one_cipher_per_session_half(self, runs):
+        for counts in runs.values():
+            assert counts["session_halves"] == 2 * RECORD_VEHICLES
+            assert counts["Cipher"] == (
+                counts["session_halves"] + 4 * RECORD_VEHICLES
+            )
+
+    def test_independent_of_records_per_session(self, runs):
+        assert runs[2] == runs[8]

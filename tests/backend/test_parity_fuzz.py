@@ -283,6 +283,172 @@ class TestAesParity:
         assert_parity(scenario)
 
 
+# -- session-bound cipher parity ---------------------------------------------
+#
+# A SecureSession builds its cipher once and runs every record's CTR
+# keystream through it; on the accelerated backend that is one
+# persistent ECB context fed the counter blocks.  The keystream, its
+# aes.block count and every record (and every rejection) must not depend
+# on the backend.
+
+import pytest  # noqa: E402  (section-local: the cipher tests parametrize)
+
+from repro.backend import get_backend  # noqa: E402
+from repro.errors import AuthenticationError  # noqa: E402
+from repro.protocols import open_record_with_key, session_pair  # noqa: E402
+from repro.protocols.wire import (  # noqa: E402
+    derive_session_key,
+    enc_key,
+    mac_key,
+)
+
+CTR_LENGTHS = (0, 1, 15, 16, 17, 31, 32, 33, 255)
+CTR_NONCES = {
+    "zero": bytes(16),
+    "ramp": bytes(range(16)),
+    # The low 64 bits roll over: the counter is the whole 128-bit block.
+    "carry64": bytes(8) + b"\xff" * 8,
+    # The top of the counter space: wraps to zero mod 2^128.
+    "wrap": b"\xff" * 16,
+}
+
+#: NIST SP 800-38A, F.5.1 (CTR-AES128.Encrypt): four blocks, the counter
+#: carries out of its last byte after the first.
+NIST_CTR_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+NIST_CTR_NONCE = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+NIST_CTR_PLAINTEXT = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710"
+)
+NIST_CTR_CIPHERTEXT = bytes.fromhex(
+    "874d6191b620e3261bef6864990db6ce"
+    "9806f66b7970fdff8617187bb9fffdff"
+    "5ae4df3edbd5d35e5b4f09020db03eab"
+    "1e031dda2fbe03d1792170a0f3009cee"
+)
+
+SESSION_KEY = derive_session_key(b"parity-premaster", b"parity-salt")
+
+
+class TestCipherParity:
+    @pytest.mark.parametrize("length", CTR_LENGTHS)
+    @pytest.mark.parametrize("nonce", CTR_NONCES.values(), ids=CTR_NONCES)
+    def test_ctr_keystream(self, nonce, length):
+        key = bytes(range(16))
+
+        def scenario():
+            cipher = get_backend().create_cipher(key)
+            stream = cipher.ctr_keystream(nonce, length)
+            # The same cipher again: no state may carry between calls.
+            assert cipher.ctr_keystream(nonce, length) == stream
+            return stream
+
+        results = [run_on(backend, scenario) for backend in BACKENDS]
+        assert results[0] == results[1]
+        stream, counts = results[0]
+        assert len(stream) == length
+        assert counts.get("aes.block", 0) == 2 * -(-length // 16)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nist_ctr_vector(self, backend):
+        with use_backend(backend):
+            cipher = get_backend().create_cipher(NIST_CTR_KEY)
+            stream = cipher.ctr_keystream(NIST_CTR_NONCE, 64)
+        ciphertext = bytes(x ^ y for x, y in zip(NIST_CTR_PLAINTEXT, stream))
+        assert ciphertext == NIST_CTR_CIPHERTEXT
+
+    def test_cipher_construction_records_no_events(self):
+        def scenario():
+            get_backend().create_cipher(bytes(16))
+
+        for backend in BACKENDS:
+            assert run_on(backend, scenario)[1] == {}
+
+
+def _transcript(plaintexts):
+    """Records both ways over one fresh session pair, each opened."""
+    a, b = session_pair(SESSION_KEY)
+    records = []
+    for plaintext in plaintexts:
+        for sender, receiver in ((a, b), (b, a)):
+            record = sender.encrypt(plaintext)
+            assert receiver.decrypt(record) == plaintext
+            records.append(record)
+    return records
+
+
+def _outcome(fn):
+    """``fn()``'s value, or the type and message of what it raised."""
+    try:
+        return ("ok", fn())
+    except AuthenticationError as exc:
+        return ("AuthenticationError", str(exc))
+
+
+def _forged_direction_record():
+    """A correctly MACed record whose direction byte names no role."""
+    body = (0).to_bytes(4, "big") + b"\x0c" + b"ciphertext"
+    return body + hmac(mac_key(SESSION_KEY), body)[:16]
+
+
+def _rejection_cases():
+    """name -> (record, endpoint that receives it), on the active backend."""
+    a, b = session_pair(SESSION_KEY)
+    first, second = a.encrypt(b"first"), a.encrypt(b"second")
+    tampered = first[:-1] + bytes([first[-1] ^ 1])
+    return {
+        "tampered-tag": (tampered, b),
+        "reflected-role": (first, a),
+        "out-of-order": (second, b),
+        "short": (first[:20], b),
+        "bad-direction": (_forged_direction_record(), b),
+    }
+
+
+class TestSessionParity:
+    def test_records_are_byte_identical(self):
+        plaintexts = [b"", b"x", b"a" * 15, b"b" * 16, b"c" * 33, bytes(range(200))]
+        assert_parity(lambda: _transcript(plaintexts))
+
+    @settings(max_examples=15, deadline=None)
+    @given(plaintexts=st.lists(st.binary(max_size=80), max_size=6))
+    def test_random_transcripts(self, plaintexts):
+        assert_parity(lambda: _transcript(plaintexts))
+
+    @pytest.mark.parametrize(
+        "case",
+        ["tampered-tag", "reflected-role", "out-of-order", "short", "bad-direction"],
+    )
+    def test_rejections_match(self, case):
+        def through_decrypt():
+            record, receiver = _rejection_cases()[case]
+            return _outcome(lambda: receiver.decrypt(record))
+
+        def through_raw_open():
+            record, _ = _rejection_cases()[case]
+            return _outcome(
+                lambda: open_record_with_key(
+                    enc_key(SESSION_KEY), mac_key(SESSION_KEY), record
+                )
+            )
+
+        decrypted = assert_parity(through_decrypt)
+        opened = assert_parity(through_raw_open)
+        assert decrypted[0] == "AuthenticationError"
+        stateful = {
+            "reflected-role": (b"first", 0, "A"),
+            "out-of-order": (b"second", 1, "A"),
+        }
+        if case in stateful:
+            # Role and order are endpoint state: the raw open succeeds
+            # and hands back exactly what the session's check rejects.
+            assert opened == ("ok", stateful[case])
+        else:
+            assert opened == decrypted
+
+
 # -- elliptic-curve parity ---------------------------------------------------
 #
 # The EC seam promises the same contract as the primitives: identical
@@ -291,8 +457,6 @@ class TestAesParity:
 # k == 1 / k == n-1 short-circuits, the k+1 ECDH companion scalar of the
 # Okeya-Sakurai y-recovery, and the k % n == 0 degeneracy the *callers*
 # must collapse before any backend sees it.
-
-import pytest  # noqa: E402  (section-local: the EC tests parametrize)
 
 import dataclasses  # noqa: E402
 

@@ -49,11 +49,31 @@ class TestByteHelpers:
         assert constant_time_equal(b"abc", b"abc")
         assert not constant_time_equal(b"abc", b"abd")
         assert not constant_time_equal(b"abc", b"abcd")
+        tag = bytes(range(16))
+        assert constant_time_equal(tag, bytearray(tag))
+        assert not constant_time_equal(tag, tag[:-1] + b"\x00")  # last byte
+        assert not constant_time_equal(b"\x01" + tag[1:], tag)  # first byte
+        # A length mismatch is unequal, either way round and against empty.
+        assert not constant_time_equal(tag[:-1], tag)
+        assert not constant_time_equal(tag, b"")
+        assert constant_time_equal(b"", b"")
 
     def test_xor_bytes(self):
         assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
         with pytest.raises(ReproError):
             xor_bytes(b"\x00", b"\x00\x00")
+        with pytest.raises(ReproError):
+            xor_bytes(b"", b"\x00")
+        assert xor_bytes(b"", b"") == b""
+        # Leading zero bytes survive the integer round trip.
+        assert xor_bytes(b"\x00\x00\x01", b"\x00\x00\x01") == b"\x00" * 3
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=0, max_value=64))
+    def test_xor_bytes_matches_bytewise(self, data, n):
+        a = data.draw(st.binary(min_size=n, max_size=n))
+        b = data.draw(st.binary(min_size=n, max_size=n))
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
 
     def test_chunks(self):
         assert chunks(b"abcdefg", 3) == [b"abc", b"def", b"g"]
@@ -104,6 +124,24 @@ class TestTrace:
         with pytest.raises(ValueError):
             with trace.trace():
                 raise ValueError("boom")
+        assert not trace.tracing_active()
+
+    def test_scope_yields_a_labelled_cost_trace(self):
+        with trace.trace("label") as t:
+            assert trace.tracing_active()
+        assert isinstance(t, trace.CostTrace)
+        assert t.label == "label"
+        assert not trace.tracing_active()
+
+    def test_nested_scope_error_restores_the_outer_scope(self):
+        with trace.trace() as outer:
+            with pytest.raises(ValueError):
+                with trace.trace() as inner:
+                    trace.record("a")
+                    raise ValueError("boom")
+            trace.record("b")
+        assert inner.as_dict() == {"a": 1}
+        assert outer.as_dict() == {"a": 1, "b": 1}
         assert not trace.tracing_active()
 
 
