@@ -19,6 +19,11 @@ the policy engine's contracts:
    per-``(point, rule)`` decision tallies, and the observed run must
    lint clean (the ``policy-balance`` tracelint rule cross-checks the
    decision counters against the actions they triggered).
+5. **Telemetry is anchored** — each cell's digest-tree root (every
+   span, heartbeat, metric and the run meta of its observed run) must
+   equal the root committed for its bundle in the mode's baseline
+   record (:data:`BASELINES`), so any drift in what the observer
+   reports fails the run.
 
 Run standalone (used by the acceptance check)::
 
@@ -73,6 +78,25 @@ DEFAULT_GOLDENS = {
         "23c139e353d6e2b19feb6cdc19e83d6a734419d13fc521ce3453a65fdbb8b290"
     ),
 }
+
+
+#: Committed record per mode whose cells' ``tree_root`` values anchor
+#: each bundle's telemetry plane.
+BASELINES = {
+    "quick": "baselines/BENCH_policies_quick.json",
+    "full": "baselines/BENCH_policies.json",
+}
+
+
+def baseline_tree_roots(quick: bool) -> dict:
+    """``{bundle: tree_root}`` of the committed baseline for the mode."""
+    path = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)),
+        BASELINES["quick" if quick else "full"],
+    )
+    with open(path) as handle:
+        cells = json.load(handle)["cells"]
+    return {cell["policy"]: cell["tree_root"] for cell in cells}
 
 
 def policy_workload(quick: bool) -> tuple[FleetConfig, Scenario]:
@@ -165,7 +189,7 @@ def run_policy_cell(bundle: str, quick: bool) -> tuple[dict, float]:
     decisions = {
         f"{point}:{rule}": count
         for (point, rule), count in sorted(
-            orch.policy.decision_counts.items()
+            orch.ledger.decision_counts.items()
         )
     }
     if not decisions:
@@ -214,6 +238,22 @@ def run_default_parity(cells: list[dict], quick: bool) -> str:
     return implicit.digest()
 
 
+def check_tree_roots(cells: list[dict], quick: bool) -> None:
+    """Anchor every cell's telemetry: root == committed baseline root."""
+    committed = baseline_tree_roots(quick)
+    drifted = [
+        f"{cell['policy']}: {cell['tree_root']} != "
+        f"{committed.get(cell['policy'])}"
+        for cell in cells
+        if cell["tree_root"] != committed.get(cell["policy"])
+    ]
+    if drifted:
+        raise AssertionError(
+            "telemetry drifted off the committed digest-tree roots: "
+            + "; ".join(drifted)
+        )
+
+
 def main() -> None:
     """Drive the bundle ablation sweep and write the JSON record."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -257,6 +297,11 @@ def main() -> None:
         f"{'default-parity':<22s} policy=None reproduces the 'default'"
         f" cell bit-for-bit ({anchored[:16]}…)"
     )
+    check_tree_roots(cells, args.quick)
+    print(
+        f"{'telemetry-anchor':<22s} every cell's digest-tree root matches"
+        f" {BASELINES[mode]}"
+    )
 
     payload = {"benchmark": "policies", "mode": mode, "cells": cells}
     with open(args.json, "w") as handle:
@@ -278,7 +323,9 @@ def test_policy_cell_is_deterministic_and_lints_clean():
     every-bundle sweep lives in the standalone bench.
     """
     record, _ = run_policy_cell("storm-hardened", quick=True)
-    assert record["tree_root"]
+    assert record["tree_root"] == baseline_tree_roots(quick=True)[
+        "storm-hardened"
+    ]
     assert record["policy"] == "storm-hardened"
     assert any(key.startswith("rekey:") for key in record["decisions"])
 

@@ -78,12 +78,12 @@ def storm_scenario() -> Scenario:
 
 
 def tallies(orchestrator: FleetOrchestrator) -> str:
-    """Render the engine's per-(point, rule) decision counters."""
+    """Render the run's per-(point, rule) policy decision tallies."""
     return (
         " ".join(
             f"{point}:{rule}={count}"
             for (point, rule), count in sorted(
-                orchestrator.policy.decision_counts.items()
+                orchestrator.ledger.decision_counts.items()
             )
         )
         or "(none)"

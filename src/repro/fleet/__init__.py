@@ -78,10 +78,12 @@ from .policy import (
 )
 from .stats import (
     ExactSum,
+    FleetLedger,
     FleetStats,
     InjectionStats,
     LatencySummary,
     ShardStats,
+    ShardTally,
     StreamingLatency,
     merge_shard_stats,
 )
@@ -111,6 +113,7 @@ __all__ = [
     "ExactSum",
     "FailoverSpread",
     "FleetConfig",
+    "FleetLedger",
     "FleetOrchestrator",
     "FleetResult",
     "FleetState",
@@ -138,6 +141,7 @@ __all__ = [
     "SessionExpiryRekey",
     "ShardPolicyAssign",
     "ShardStats",
+    "ShardTally",
     "ShardView",
     "StaleCertFlood",
     "StormRekey",

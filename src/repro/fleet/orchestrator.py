@@ -104,13 +104,7 @@ from .scenario import (
     UniformArrivals,
     compile_scenario,
 )
-from .stats import (
-    ExactSum,
-    FleetStats,
-    InjectionStats,
-    StreamingLatency,
-    merge_shard_stats,
-)
+from .stats import FleetLedger, FleetStats
 from .topology import (
     FleetTopology,
     GATEWAY_NAME,
@@ -480,6 +474,12 @@ class FleetOrchestrator:
         self.schedule = (
             compile_scenario(scenario, config) if scenario is not None else None
         )
+        #: The run's one accounting record; a parallel run replaces it
+        #: with the workers' merged ledger at the barrier.
+        self.ledger = FleetLedger(
+            range(config.shards),
+            self.schedule.injections if self.schedule is not None else (),
+        )
         if config.workers > 1:
             from .parallel import partition_plan
 
@@ -572,30 +572,6 @@ class FleetOrchestrator:
             self.vehicles[b].v2v_peer_index = a
         self._v2v_ready: set[int] = set()
         self._v2v_started: set[tuple[int, int]] = set()
-        # Streaming accumulators: constant state per distinct sample
-        # value instead of one Python float object per sample, and
-        # .summary() reproduces LatencySummary.from_samples bit-for-bit
-        # (the digest contract), so these are always-on.
-        self._enrollment_latencies = StreamingLatency()
-        self._establishment_latencies = StreamingLatency()
-        self._queue_latencies = StreamingLatency()
-        self._v2v_latencies = StreamingLatency()
-        self._sessions_established = 0
-        self._rekeys = 0
-        self._records_sent = 0
-        # Exact (order-independent) streaming sum: the one digest float
-        # accumulated across shard boundaries in interleaved event
-        # order, so per-worker partials must fold into the same bits.
-        self._vehicle_energy = ExactSum()
-        self._handovers = 0
-        self._v2v_sessions = 0
-        self._v2v_rekeys = 0
-        self._v2v_cross_shard = 0
-        self._v2v_records_sent = 0
-        self._migrations = 0
-        self._rejoins = 0
-        self._re_enrollments = 0
-        self._migration_latencies = StreamingLatency()
         #: Continuations coalesced onto a vehicle's in-flight
         #: re-enrollment (keyed by vehicle index).
         self._re_enroll_followups: dict[int, list] = {}
@@ -603,12 +579,6 @@ class FleetOrchestrator:
         injections = (
             self.schedule.injections if self.schedule is not None else ()
         )
-        #: Per-injection accounting, index-aligned with the schedule.
-        self._injection_log: list[dict] = [
-            {"kind": spec.kind, "at_ms": spec.at_ms, "attempts": 0,
-             "rejected": 0, "succeeded": 0}
-            for spec in injections
-        ]
         #: Replay storms need a wire capture: latest vehicle→gateway
         #: record per vehicle index (populated only when needed).
         self._capture_wire = any(
@@ -628,7 +598,9 @@ class FleetOrchestrator:
         #: is digest-neutral for every other bundle.
         self._last_storm_ms: float | None = None
         self.policy = PolicyEngine(
-            resolve_policies(config, self.schedule), hooks=self._hooks
+            resolve_policies(config, self.schedule),
+            ledger=self.ledger,
+            hooks=self._hooks,
         )
 
     # -- deterministic context factories --------------------------------------
@@ -681,6 +653,7 @@ class FleetOrchestrator:
 
     def _arrive(self, vehicle: Vehicle) -> None:
         vehicle.log(self.sim.now, "arrive")
+        self.ledger.arrivals += 1
         if self._hooks is not None:
             self._hooks.vehicle_arrived(self, vehicle)
         requester = CertificateRequester(
@@ -696,12 +669,12 @@ class FleetOrchestrator:
                 authenticate=self.config.authenticate_requests
             )
         duration = self.vehicle_device.time_ms(cost)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(cost))
+        self.ledger.vehicle_energy.add(self.vehicle_device.energy_mj(cost))
 
         def submit() -> None:
             shard = self._assign(vehicle)
             vehicle.shard = shard.index
-            shard.vehicles_assigned += 1
+            self.ledger.shards[shard.index].vehicles_assigned += 1
             shard.active_vehicles += 1
             detail = (
                 "queued at CA"
@@ -747,7 +720,7 @@ class FleetOrchestrator:
                     ]
                 )
                 for entry, ok in zip(attacks, outcomes):
-                    log = self._injection_log[entry.adversarial]
+                    log = self.ledger.injections[entry.adversarial]
                     if ok:
                         log["succeeded"] += 1
                     else:
@@ -765,21 +738,19 @@ class FleetOrchestrator:
         # epoch before this batch's delivery event fires.
         issuer_public = shard.ca.public_key
         duration = shard.device.time_ms(cost)
-        shard.energy_mj += shard.device.energy_mj(cost)
+        tally = self.ledger.shards[shard.index]
+        tally.ca_energy_mj += shard.device.energy_mj(cost)
         start, end = shard.resource.reserve(self.sim.now, duration)
         for entry in legit:
-            wait = start - entry.queued_at
-            shard.queue_latency.add(wait)
-            self._queue_latencies.add(wait)
-            if self._hooks is not None:
-                self._hooks.queue_wait(self, shard, wait)
+            tally.queue_wait.add(start - entry.queued_at)
+        tally.batch_service.add(end - start)
+        tally.batched_requests += batch_size
+        tally.max_batch = max(tally.max_batch, batch_size)
         if self._hooks is not None:
             self._hooks.ca_batch(
                 self, shard, batch_size, len(attacks), start, end
             )
         shard.issuing = True
-        shard.batches += 1
-        shard.max_batch = max(shard.max_batch, batch_size)
 
         def deliver() -> None:
             shard.issuing = False
@@ -817,22 +788,19 @@ class FleetOrchestrator:
                     self.config.pool_size,
                 )
         duration = self.vehicle_device.time_ms(cost)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(cost))
+        self.ledger.vehicle_energy.add(self.vehicle_device.energy_mj(cost))
 
         def enrolled() -> None:
-            shard.enrollments += 1
+            tally = self.ledger.shards[shard.index]
+            tally.enrollments += 1
             if then is not None:
                 vehicle.log(self.sim.now, "re-enrolled")
                 then()
                 return
             vehicle.enrolled_at = self.sim.now
-            self._enrollment_latencies.add(
-                self.sim.now - vehicle.arrival_ms
-            )
+            tally.enrollment_latency.add(self.sim.now - vehicle.arrival_ms)
             if self._hooks is not None:
-                self._hooks.vehicle_enrolled(
-                    self, vehicle, self.sim.now - vehicle.arrival_ms
-                )
+                self._hooks.vehicle_enrolled(self, vehicle)
             vehicle.log(self.sim.now, "enrolled")
             self._establish(vehicle)
 
@@ -856,6 +824,7 @@ class FleetOrchestrator:
         if len(self.topology.alive_shards()) < 2:
             raise SimulationError("failover requires a surviving shard")
         shard.failed = True
+        self.ledger.shards[shard.index].failures += 1
         if self._capture_stale:
             # Snapshot the epoch-1 leaf certificates this CA issued: the
             # stale-cert flood presents exactly these after the rejoin
@@ -874,14 +843,13 @@ class FleetOrchestrator:
             if entry.adversarial is not None:
                 # The flood died with its target: requests queued at a
                 # gateway that failed before serving them are dropped.
-                log = self._injection_log[entry.adversarial]
-                log["rejected"] += 1
+                self.ledger.injections[entry.adversarial]["rejected"] += 1
                 continue
             vehicle = entry.vehicle
             shard.active_vehicles -= 1
             adopter = self._adopt_target(vehicle)
-            adopter.adopt(vehicle)
-            self._handovers += 1
+            self._adopt(adopter, vehicle)
+            self.ledger.handover_events += 1
             vehicle.log(
                 self.sim.now,
                 "requeue",
@@ -903,9 +871,9 @@ class FleetOrchestrator:
         vehicle.manager.drop(old.gateway_id)
         old.manager.drop(vehicle.device_id)
         old.active_vehicles -= 1
-        adopter.adopt(vehicle)
+        self._adopt(adopter, vehicle)
         vehicle.handovers += 1
-        self._handovers += 1
+        self.ledger.handover_events += 1
         vehicle.log(
             self.sim.now,
             "handover",
@@ -914,6 +882,14 @@ class FleetOrchestrator:
         if self._hooks is not None:
             self._hooks.handover(self, vehicle, old, adopter)
         return adopter
+
+    def _adopt(self, shard: GatewayShard, vehicle: Vehicle) -> None:
+        """``shard`` takes over ``vehicle`` from a failed shard."""
+        tally = self.ledger.shards[shard.index]
+        tally.vehicles_assigned += 1
+        tally.handovers_in += 1
+        shard.active_vehicles += 1
+        vehicle.shard = shard.index
 
     # -- policy decision points --------------------------------------------------
 
@@ -1040,7 +1016,7 @@ class FleetOrchestrator:
             policy=self._policy,
             clock=self._clock,
         )
-        self._rejoins += 1
+        self.ledger.shards[shard.index].rejoins += 1
         if self._hooks is not None:
             self._hooks.rejoin(self, shard)
 
@@ -1085,33 +1061,37 @@ class FleetOrchestrator:
         vehicle.manager.drop(old.gateway_id)
         old.manager.drop(vehicle.device_id)
         old.active_vehicles -= 1
-        old.migrations_out += 1
-        target.receive_migration(vehicle)
+        self.ledger.shards[old.index].migrations_out += 1
+        tally = self.ledger.shards[target.index]
+        tally.vehicles_assigned += 1
+        tally.migrations_in += 1
+        target.active_vehicles += 1
+        vehicle.shard = target.index
         vehicle.migrations += 1
-        self._migrations += 1
         vehicle.log(
             self.sim.now,
             "migrate",
             f"shard {old.index} -> shard {target.index}",
         )
-        if self._hooks is not None:
-            if rule is None:
-                # Engine-decided migrations were already attributed by
-                # PolicyEngine.decide; direct API calls are attributed
-                # here so the policy.migrate counter balances the
-                # per-shard migration flow (tracelint policy-balance).
+        if rule is None:
+            # Engine-decided migrations were already attributed by
+            # PolicyEngine.decide; direct API calls are attributed to
+            # the "api" pseudo-rule so the policy.migrate counter
+            # balances the per-shard migration flow (tracelint
+            # policy-balance).
+            self.ledger.api_migrations += 1
+            if self._hooks is not None:
                 self._hooks.policy_decision(
                     self.sim.now, "migrate", "api", vehicle.index, target.index
                 )
+        if self._hooks is not None:
             self._hooks.migrate_started(self, vehicle, old, target)
 
         def established() -> None:
             vehicle.migrating = False
-            self._migration_latencies.add(self.sim.now - started)
+            self.ledger.migration_latency.add(self.sim.now - started)
             if self._hooks is not None:
-                self._hooks.migrate_finished(
-                    self, vehicle, self.sim.now - started
-                )
+                self._hooks.migrate_finished(self, vehicle)
 
         self._re_enroll(
             vehicle,
@@ -1166,8 +1146,7 @@ class FleetOrchestrator:
             vehicle.log(
                 self.sim.now, "re-enroll", f"coalesced ({reason})"
             )
-            if self._hooks is not None:
-                self._hooks.re_enroll_coalesced(self, vehicle)
+            self.ledger.re_enrollments_coalesced += 1
             return
         vehicle.re_enrolling = True
         self._re_enroll_followups[vehicle.index] = []
@@ -1184,7 +1163,7 @@ class FleetOrchestrator:
                 followup()
 
         vehicle.re_enrollments += 1
-        self._re_enrollments += 1
+        self.ledger.re_enrollments += 1
         vehicle.log(
             self.sim.now, "re-enroll", f"at shard {shard.index} ({reason})"
         )
@@ -1202,7 +1181,7 @@ class FleetOrchestrator:
                 authenticate=self.config.authenticate_requests
             )
         duration = self.vehicle_device.time_ms(cost)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(cost))
+        self.ledger.vehicle_energy.add(self.vehicle_device.energy_mj(cost))
 
         def submit() -> None:
             target = shard
@@ -1215,9 +1194,8 @@ class FleetOrchestrator:
                 # post-rejoin re-balancer).
                 target.active_vehicles -= 1
                 target = self._adopt_target(vehicle)
-                target.adopt(vehicle)
+                self._adopt(target, vehicle)
                 vehicle.handovers += 1
-                self._handovers += 1
                 vehicle.log(
                     self.sim.now,
                     "requeue",
@@ -1281,10 +1259,12 @@ class FleetOrchestrator:
         transcript = run_protocol(party_v, party_g)
         vehicle_ms = self.vehicle_device.time_ms(party_v.total_cost())
         gateway_ms = shard.device.time_ms(party_g.total_cost())
-        self._vehicle_energy.add(
+        self.ledger.vehicle_energy.add(
             self.vehicle_device.energy_mj(party_v.total_cost())
         )
-        shard.energy_mj += shard.device.energy_mj(party_g.total_cost())
+        self.ledger.shards[shard.index].ca_energy_mj += shard.device.energy_mj(
+            party_g.total_cost()
+        )
         bus_ms = transcript.total_bytes * self.config.bus_ms_per_byte
         # The vehicle computes locally first; the gateway's share contends
         # the shard's central device with every other establishment and
@@ -1300,16 +1280,12 @@ class FleetOrchestrator:
             session = vehicle.manager.session_for(shard.gateway_id)
             vehicle.generation = session.generation
             vehicle.sessions += 1
-            shard.sessions_established += 1
-            self._sessions_established += 1
-            self._establishment_latencies.add(self.sim.now - started)
+            self.ledger.shards[shard.index].establishment_latency.add(
+                self.sim.now - started
+            )
             if self._hooks is not None:
                 self._hooks.establish_finished(
-                    self,
-                    vehicle,
-                    shard,
-                    self.sim.now - started,
-                    session.generation,
+                    self, vehicle, session.generation
                 )
             vehicle.log(
                 self.sim.now,
@@ -1366,6 +1342,7 @@ class FleetOrchestrator:
         if vehicle.records_sent >= self._records_target(vehicle):
             vehicle.done_at = self.sim.now
             self.shards[vehicle.shard].active_vehicles -= 1
+            self.ledger.vehicles_done += 1
             vehicle.log(self.sim.now, "done", f"{vehicle.records_sent} records")
             if self._hooks is not None:
                 self._hooks.vehicle_done(self, vehicle)
@@ -1418,8 +1395,7 @@ class FleetOrchestrator:
             vehicle.manager.drop(shard.gateway_id)
             shard.manager.drop(vehicle.device_id)
             vehicle.rekeys += 1
-            shard.rekeys += 1
-            self._rekeys += 1
+            self.ledger.shards[shard.index].rekeys += 1
             vehicle.log(self.sim.now, "rekey", f"after {vehicle.records_sent} records")
             if self._hooks is not None:
                 self._hooks.rekey(self, vehicle, shard)
@@ -1430,14 +1406,15 @@ class FleetOrchestrator:
         ).ljust(self.config.record_bytes, b".")[: self.config.record_bytes]
         with trace.trace(f"{vehicle.name}:send") as send_cost:
             record = vehicle.manager.send(shard.gateway_id, payload)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(send_cost))
+        self.ledger.vehicle_energy.add(self.vehicle_device.energy_mj(send_cost))
         with trace.trace("gateway:receive") as recv_cost:
             received = shard.manager.receive(vehicle.device_id, record)
         if received != payload:
             raise SimulationError(
                 f"gateway decrypted wrong payload for {vehicle.name}"
             )
-        shard.energy_mj += shard.device.energy_mj(recv_cost)
+        tally = self.ledger.shards[shard.index]
+        tally.ca_energy_mj += shard.device.energy_mj(recv_cost)
         shard.resource.reserve(
             self.sim.now, shard.device.time_ms(recv_cost)
         )
@@ -1445,9 +1422,10 @@ class FleetOrchestrator:
             # The replay-storm adversary records the wire verbatim.
             self._captured_records[vehicle.index] = record
         vehicle.records_sent += 1
-        self._records_sent += 1
+        tally.records_sent += 1
+        tally.record_bytes += len(record)
         if self._hooks is not None:
-            self._hooks.record_sent(self, vehicle, shard, len(record))
+            self._hooks.record_sent(self)
         send_ms = self.vehicle_device.time_ms(send_cost)
         bus_ms = len(record) * self.config.bus_ms_per_byte
         self.sim.schedule_after(
@@ -1517,10 +1495,10 @@ class FleetOrchestrator:
         transcript = run_protocol(party_i, party_r)
         initiator_ms = self.vehicle_device.time_ms(party_i.total_cost())
         responder_ms = self.vehicle_device.time_ms(party_r.total_cost())
-        self._vehicle_energy.add(
+        self.ledger.vehicle_energy.add(
             self.vehicle_device.energy_mj(party_i.total_cost())
         )
-        self._vehicle_energy.add(
+        self.ledger.vehicle_energy.add(
             self.vehicle_device.energy_mj(party_r.total_cost())
         )
         bus_ms = transcript.total_bytes * self.config.bus_ms_per_byte
@@ -1535,22 +1513,18 @@ class FleetOrchestrator:
             )
             initiator.v2v_sessions += 1
             responder.v2v_sessions += 1
-            self._v2v_sessions += 1
+            cross_shard = initiator.shard != responder.shard
             if rekey:
-                self._v2v_rekeys += 1
-            if initiator.shard != responder.shard:
-                self._v2v_cross_shard += 1
-            self._v2v_latencies.add(self.sim.now - started)
+                self.ledger.v2v_rekeys += 1
+            if cross_shard:
+                self.ledger.v2v_cross_shard += 1
+            self.ledger.v2v_latency.add(self.sim.now - started)
             if self._hooks is not None:
                 self._hooks.v2v_finished(
-                    self,
-                    initiator,
-                    responder,
-                    self.sim.now - started,
-                    initiator.shard != responder.shard,
+                    self, initiator, responder, cross_shard
                 )
             detail = f"with {responder.name}" + (
-                " (cross-shard)" if initiator.shard != responder.shard else ""
+                " (cross-shard)" if cross_shard else ""
             )
             initiator.log(self.sim.now, "v2v-established", detail)
             responder.log(
@@ -1596,7 +1570,7 @@ class FleetOrchestrator:
         ).ljust(self.config.record_bytes, b".")[: self.config.record_bytes]
         with trace.trace(f"{initiator.name}:v2v-send") as send_cost:
             record = initiator.manager.send(responder.device_id, payload)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(send_cost))
+        self.ledger.vehicle_energy.add(self.vehicle_device.energy_mj(send_cost))
         with trace.trace(f"{responder.name}:v2v-receive") as recv_cost:
             received = responder.manager.receive(initiator.device_id, record)
         if received != payload:
@@ -1604,11 +1578,9 @@ class FleetOrchestrator:
                 f"{responder.name} decrypted wrong V2V payload from"
                 f" {initiator.name}"
             )
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(recv_cost))
+        self.ledger.vehicle_energy.add(self.vehicle_device.energy_mj(recv_cost))
         initiator.v2v_records_sent += 1
-        self._v2v_records_sent += 1
-        if self._hooks is not None:
-            self._hooks.v2v_record(self, initiator, responder)
+        self.ledger.v2v_records_sent += 1
         send_ms = self.vehicle_device.time_ms(send_cost)
         recv_ms = self.vehicle_device.time_ms(recv_cost)
         bus_ms = len(record) * self.config.bus_ms_per_byte
@@ -1627,7 +1599,9 @@ class FleetOrchestrator:
         to reject an attack contends the shard resource — the DoS
         pressure legitimate traffic feels.
         """
-        shard.energy_mj += shard.device.energy_mj(cost)
+        self.ledger.shards[shard.index].ca_energy_mj += shard.device.energy_mj(
+            cost
+        )
         shard.resource.reserve(self.sim.now, shard.device.time_ms(cost))
 
     def _inject_replay_storm(self, spec: ReplayStorm, log: dict) -> None:
@@ -1754,7 +1728,7 @@ class FleetOrchestrator:
 
     def _run_injection(self, index: int, spec) -> None:
         """Dispatch one scheduled injection to its executor."""
-        log = self._injection_log[index]
+        log = self.ledger.injections[index]
         if isinstance(spec, ReplayStorm):
             self._inject_replay_storm(spec, log)
         elif isinstance(spec, StaleCertFlood):
@@ -1786,7 +1760,7 @@ class FleetOrchestrator:
         if self._plan is not None:
             from .parallel import run_parallel
 
-            return run_parallel(
+            stats, self.ledger = run_parallel(
                 self.config,
                 self.scenario,
                 self.schedule,
@@ -1794,6 +1768,9 @@ class FleetOrchestrator:
                 obs=self.obs,
                 max_events=max_events,
             )
+            # Vehicles stay in the workers: callers needing timelines
+            # run workers=1.
+            return FleetResult(stats=stats, vehicles=[], obs=self.obs)
         with use_backend(self.config.backend):
             return self._run(max_events)
 
@@ -1852,13 +1829,18 @@ class FleetOrchestrator:
         owned shard sees a bit-identical event stream (shard streams are
         independent under the partition-plan preconditions, and co-timed
         events keep their scheduling order because omitted foreign events
-        never interleave *within* a shard's stream).  Runs under the
-        caller's backend scope; stats assembly is the caller's job.
+        never interleave *within* a shard's stream).  A partition's
+        ledger keeps only the owned shards' tallies, so a write to any
+        other shard fails loudly.  Runs under the caller's backend scope;
+        stats assembly is the caller's job.
         """
 
         def mine(vehicle: Vehicle) -> bool:
             return owned is None or self._predicted_shard(vehicle) in owned
 
+        if owned is not None:
+            for index in set(self.ledger.shards) - owned:
+                del self.ledger.shards[index]
         if self._hooks is not None:
             self._hooks.run_started(self)
         for vehicle in self.vehicles:
@@ -1906,71 +1888,21 @@ class FleetOrchestrator:
                 f"fleet run ended with unfinished V2V pairs:"
                 f" {unfinished_pairs[:5]}"
             )
+        for index, tally in self.ledger.shards.items():
+            tally.busy_ms = self.shards[index].resource.busy_ms
+        if self._hooks is not None:
+            self._hooks.run_finished(self)
 
     def _run(self, max_events: int) -> FleetResult:
         """The serial storm and its stats (already backend-scoped)."""
         self._run_partition(None, max_events)
-        now = self.sim.now
-        per_shard = tuple(shard.stats(now) for shard in self.shards)
-        merged = merge_shard_stats(per_shard)
-        stats = FleetStats(
-            vehicles=len(self.vehicles),
-            enrollments=sum(1 for v in self.vehicles if v.enrolled),
-            sessions_established=self._sessions_established,
-            rekeys=self._rekeys,
-            records_sent=self._records_sent,
-            duration_ms=now,
-            ca_busy_ms=merged["ca_busy_ms"],
-            # Mean per-shard utilisation: summed busy time over the
-            # wall-clock available across all shard resources.  For one
-            # shard this is exactly the resource's own utilisation (PR 1
-            # parity); for M shards it stays a 0–1-ish load figure
-            # instead of an M-fold inflated one.
-            ca_utilisation=(
-                merged["ca_busy_ms"] / (now * len(per_shard))
-                if now > 0
-                else 0.0
-            ),
-            ca_batches=merged["ca_batches"],
-            ca_max_batch=merged["ca_max_batch"],
-            enrollment_latency=self._enrollment_latencies.summary(),
-            establishment_latency=self._establishment_latencies.summary(),
-            vehicle_energy_mj=self._vehicle_energy.value,
-            ca_energy_mj=merged["ca_energy_mj"],
-            per_shard=per_shard,
-            ca_queue_latency=self._queue_latencies.summary(),
-            v2v_sessions=self._v2v_sessions,
-            v2v_rekeys=self._v2v_rekeys,
-            v2v_cross_shard=self._v2v_cross_shard,
-            v2v_records_sent=self._v2v_records_sent,
-            v2v_latency=self._v2v_latencies.summary(),
-            handovers=self._handovers,
-            migrations=self._migrations,
-            rejoins=self._rejoins,
-            re_enrollments=self._re_enrollments,
-            migration_latency=self._migration_latencies.summary(),
-            scenario=(
-                self.scenario.name if self.scenario is not None else ""
-            ),
-            policy=self.config.policy or "",
-            profile_counts=(
-                self.schedule.profile_counts
-                if self.schedule is not None
-                else ()
-            ),
-            injection_stats=tuple(
-                InjectionStats(
-                    kind=log["kind"],
-                    at_ms=log["at_ms"],
-                    attempts=log["attempts"],
-                    rejected=log["rejected"],
-                    succeeded=log["succeeded"],
-                )
-                for log in self._injection_log
-            ),
+        stats = self.ledger.stats(
+            self.config, self.scenario, self.schedule, self.sim.now
         )
-        if self._hooks is not None:
-            self._hooks.run_finished(self, stats)
+        if self.obs is not None:
+            from ..obs.fleet import publish
+
+            publish(self.obs, self.ledger, stats, self.config, self.scenario)
         return FleetResult(stats=stats, vehicles=self.vehicles, obs=self.obs)
 
 

@@ -57,6 +57,7 @@ from dataclasses import dataclass, fields, replace
 
 from ..errors import PolicyError
 from ..primitives import sha256
+from .stats import FleetLedger
 from .topology import (
     POLICY_LEAST_LOADED,
     POLICY_STATIC_HASH,
@@ -666,15 +667,20 @@ class PolicyEngine:
     re-key) before being stamped with the winning rule's kind.  Each
     rule gets a private ``memory`` dict for counters and cool-downs.
 
-    ``decision_counts`` tallies ``(point, kind) -> fires`` for the
-    ablation benchmark; the observability hooks (when attached) emit a
-    span event and a ``policy.<point>`` counter per decision.
+    Every decision is tallied once, as ``(point, kind) -> fires`` in
+    ``ledger.decision_counts`` — the run's
+    :class:`~repro.fleet.stats.FleetLedger`, or a private one for a
+    standalone engine — from which the ablation benchmark and the
+    ``policy.<point>`` metrics read; the observability hooks (when
+    attached) add one span event per decision.
     """
 
-    def __init__(self, rules, hooks=None) -> None:
+    def __init__(
+        self, rules, ledger: FleetLedger | None = None, hooks=None
+    ) -> None:
         self._hooks = hooks
         self._points: dict = {point: [] for point in DECISION_POINTS}
-        self.decision_counts: dict = {}
+        self.ledger = ledger if ledger is not None else FleetLedger()
         for rule in rules:
             cls = POLICY_RULES.get(getattr(rule, "kind", None))
             if cls is None or type(rule) is not cls:
@@ -716,8 +722,9 @@ class PolicyEngine:
                 continue
             decision = replace(decision, rule=rule.kind, point=point)
             self._validate(decision, state, rule)
+            counts = self.ledger.decision_counts
             key = (point, rule.kind)
-            self.decision_counts[key] = self.decision_counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + 1
             if self._hooks is not None:
                 self._hooks.policy_decision(
                     state.now_ms,

@@ -12,6 +12,10 @@ segments **only** for non-degenerate runs — a single-gateway, no-V2V run
 hashes the exact canonical string the single-gateway orchestrator always
 produced, which is what keeps ``shards=1, v2v_fraction=0`` bit-compatible
 with the pre-topology fleet.
+
+A run writes every count once, into its :class:`FleetLedger`;
+:class:`FleetStats`, a parallel worker's transport checksum and the
+observer's metric plane are all views of that one record.
 """
 
 from __future__ import annotations
@@ -300,8 +304,12 @@ class ExactSum:
         return math.fsum(self._partials)
 
     def canonical(self) -> str:
-        """Canonical rendering for transport checkpointing (repr-exact)."""
-        return ";".join(f"{partial!r}" for partial in self._partials)
+        """The exact rational sum (order-independent; all a merge reads)."""
+        # Imported here: ``fractions`` pulls in ``decimal``, which an
+        # unobserved serial run never needs (peak RSS).
+        from fractions import Fraction
+
+        return str(sum(map(Fraction, self._partials), Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -897,3 +905,402 @@ class FleetStats:
             ]
             canonical = canonical + "|" + "|".join(scenario_extension)
         return sha256(canonical.encode()).hex()
+
+
+#: Per-shard integers of a :class:`ShardTally`: counters, and the
+#: ``max_batch`` high watermark.
+_SHARD_COUNTS = (
+    "vehicles_assigned",
+    "enrollments",
+    "rekeys",
+    "records_sent",
+    "record_bytes",
+    "handovers_in",
+    "migrations_in",
+    "migrations_out",
+    "batched_requests",
+    "failures",
+    "rejoins",
+    "max_batch",
+)
+
+#: Per-shard value→count tables of a :class:`ShardTally`.
+_SHARD_TABLES = (
+    "enrollment_latency",
+    "establishment_latency",
+    "queue_wait",
+    "batch_service",
+)
+
+#: Per-shard metric-plane counters: metric name → tally attribute.
+_SHARD_METRICS = (
+    ("fleet.enrollments", "first_enrollments"),
+    ("fleet.ca_batches", "batches"),
+    ("fleet.ca_batched_requests", "batched_requests"),
+    ("fleet.sessions", "sessions"),
+    ("fleet.rekeys", "rekeys"),
+    ("fleet.records_sent", "records_sent"),
+    ("fleet.record_bytes", "record_bytes"),
+    ("fleet.shard_failures", "failures"),
+    ("fleet.rejoins", "rejoins"),
+    ("fleet.migrations_out", "migrations_out"),
+    ("fleet.migrations_in", "migrations_in"),
+)
+
+#: Per-shard metric-plane histograms: metric name → tally table.
+_SHARD_HISTOGRAMS = (
+    ("fleet.enrollment_latency_ms", "enrollment_latency"),
+    ("fleet.ca_batch_service_ms", "batch_service"),
+    ("fleet.ca_queue_wait_ms", "queue_wait"),
+    ("fleet.establishment_latency_ms", "establishment_latency"),
+)
+
+#: Fleet-level integer counters of a :class:`FleetLedger`.
+_FLEET_COUNTS = (
+    "arrivals",
+    "vehicles_done",
+    "handover_events",
+    "re_enrollments",
+    "re_enrollments_coalesced",
+    "v2v_rekeys",
+    "v2v_cross_shard",
+    "v2v_records_sent",
+    "api_migrations",
+)
+
+#: Outcome columns of one injection row.
+_INJECTION_COUNTS = ("attempts", "rejected", "succeeded")
+
+
+class ShardTally:
+    """One gateway shard's accounting inside a :class:`FleetLedger`.
+
+    Integer counters and value→count tables the orchestrator writes as
+    the shard works, plus two gauges: ``max_batch`` (the issuance high
+    watermark) and ``busy_ms`` (the shard resource's busy time, copied
+    when the run ends).  ``ca_energy_mj`` is a sequential float sum on
+    purpose — its bits are in the shard digest.  ``enrollments`` counts
+    every issuance the shard delivered, re-enrollments included; first
+    enrollments, sessions and batches are the sample counts of their
+    latency tables, so each of those facts is written once.
+    """
+
+    __slots__ = (*_SHARD_COUNTS, *_SHARD_TABLES, "busy_ms", "ca_energy_mj")
+
+    def __init__(self) -> None:
+        for name in _SHARD_COUNTS:
+            setattr(self, name, 0)
+        for name in _SHARD_TABLES:
+            setattr(self, name, StreamingLatency())
+        self.busy_ms = 0.0
+        self.ca_energy_mj = 0.0
+
+    @property
+    def first_enrollments(self) -> int:
+        """Vehicles whose first enrollment completed at this shard."""
+        return self.enrollment_latency.count
+
+    @property
+    def sessions(self) -> int:
+        """Vehicle↔gateway sessions established at this shard."""
+        return self.establishment_latency.count
+
+    @property
+    def batches(self) -> int:
+        """Issuance batches this shard's CA served."""
+        return self.batch_service.count
+
+    def canonical(self) -> str:
+        """Canonical rendering (repr-exact floats, sorted tables)."""
+        counts = [f"{name}:{getattr(self, name)}" for name in _SHARD_COUNTS]
+        tables = [
+            f"{name}:{getattr(self, name).canonical()}"
+            for name in _SHARD_TABLES
+        ]
+        floats = [f"busy:{self.busy_ms!r}", f"energy:{self.ca_energy_mj!r}"]
+        return ";".join(counts + tables + floats)
+
+
+class FleetLedger:
+    """The one accounting record of a fleet run.
+
+    The orchestrator, its shards and the policy engine write each fact
+    here exactly once; everything else is a view:
+
+    * :meth:`stats` — the run's :class:`FleetStats` (serial run and
+      barrier merge alike);
+    * :meth:`canonical` — what a parallel worker's transport checksum
+      covers;
+    * :meth:`render` — the observer's ``fleet.*``/``policy.*`` metric
+      plane, histograms rebuilt exactly from the value→count tables.
+
+    ``shards`` holds one :class:`ShardTally` per shard the ledger
+    simulated (all of them in a serial run, a worker's own in a
+    partition).  :meth:`merge` is associative and commutative, so worker
+    ledgers fold into the serial run's ledger in any order.  Where the
+    metric plane and ``FleetStats`` count different facts both are kept
+    under their own names: ``handover_events`` counts the handovers
+    announced with a failover span event, ``api_migrations`` the
+    migrations started through the manual
+    :meth:`~repro.fleet.FleetOrchestrator.migrate` API (the ``"api"``
+    pseudo-rule, never part of ``decision_counts``).
+    """
+
+    __slots__ = (
+        *_FLEET_COUNTS,
+        "shards",
+        "injections",
+        "decision_counts",
+        "vehicle_energy",
+        "migration_latency",
+        "v2v_latency",
+    )
+
+    def __init__(self, shards=(), injections=()) -> None:
+        for name in _FLEET_COUNTS:
+            setattr(self, name, 0)
+        self.shards: dict[int, ShardTally] = {
+            index: ShardTally() for index in shards
+        }
+        #: Per-injection outcome rows, index-aligned with the schedule.
+        self.injections: list[dict] = [
+            {"kind": spec.kind, "at_ms": spec.at_ms,
+             **dict.fromkeys(_INJECTION_COUNTS, 0)}
+            for spec in injections
+        ]
+        #: ``(point, rule kind) -> fires`` of the policy engine.
+        self.decision_counts: dict = {}
+        self.vehicle_energy = ExactSum()
+        self.migration_latency = StreamingLatency()
+        self.v2v_latency = StreamingLatency()
+
+    @property
+    def records_sent(self) -> int:
+        """Vehicle→gateway application records, over every shard."""
+        return sum(tally.records_sent for tally in self.shards.values())
+
+    def merge(self, *others: "FleetLedger") -> "FleetLedger":
+        """Fold this ledger and ``others`` into a new one.
+
+        Counters, decision tallies and injection rows add; tables and
+        the energy sum merge exactly.  Shard tallies move over whole
+        (the result shares them): a shard belongs to exactly one
+        operand, and one held by two means the operands are not a
+        partition of one run (:class:`~repro.errors.StatsError`).
+        """
+        merged = FleetLedger()
+        merged.injections = [
+            {**row, **dict.fromkeys(_INJECTION_COUNTS, 0)}
+            for row in self.injections
+        ]
+        for ledger in (self, *others):
+            if _injection_specs(ledger) != _injection_specs(merged):
+                raise StatsError(
+                    "cannot merge ledgers of different injection"
+                    " schedules"
+                )
+            for index, tally in ledger.shards.items():
+                if index in merged.shards:
+                    raise StatsError(
+                        f"shard {index} is held by two ledgers — the"
+                        " operands are not a partition of one run"
+                    )
+                merged.shards[index] = tally
+            for name in _FLEET_COUNTS:
+                total = getattr(merged, name) + getattr(ledger, name)
+                setattr(merged, name, total)
+            for row, other in zip(merged.injections, ledger.injections):
+                for key in _INJECTION_COUNTS:
+                    row[key] += other[key]
+            for key, fires in ledger.decision_counts.items():
+                merged.decision_counts[key] = (
+                    merged.decision_counts.get(key, 0) + fires
+                )
+            merged.vehicle_energy.merge(ledger.vehicle_energy)
+            merged.migration_latency.merge(ledger.migration_latency)
+            merged.v2v_latency.merge(ledger.v2v_latency)
+        return merged
+
+    def canonical(self) -> str:
+        """Canonical rendering, independent of merge order."""
+        parts = [f"{name}={getattr(self, name)}" for name in _FLEET_COUNTS]
+        parts += [
+            f"energy={self.vehicle_energy.canonical()}",
+            f"migration={self.migration_latency.canonical()}",
+            f"v2v={self.v2v_latency.canonical()}",
+            "decisions="
+            + ";".join(
+                f"{point}/{rule}:{fires}"
+                for (point, rule), fires in sorted(
+                    self.decision_counts.items()
+                )
+            ),
+            "injections="
+            + ";".join(
+                f"{row['kind']}@{row['at_ms']!r}:"
+                + ":".join(str(row[key]) for key in _INJECTION_COUNTS)
+                for row in self.injections
+            ),
+        ]
+        parts += [
+            f"shard[{index}]={self.shards[index].canonical()}"
+            for index in sorted(self.shards)
+        ]
+        return "|".join(parts)
+
+    def stats(self, config, scenario, schedule, now: float) -> FleetStats:
+        """The run's :class:`FleetStats`, a pure function of the ledger.
+
+        ``now`` is the run's end on the simulated clock (for a parallel
+        run, the latest end over the workers): utilisations are computed
+        against it.  The ledger must cover every shard of ``config``.
+        """
+        from .topology import shard_ca_name
+
+        if sorted(self.shards) != list(range(config.shards)):
+            raise StatsError(
+                f"the ledger covers shards {sorted(self.shards)} of"
+                f" {config.shards} — a worker went missing"
+            )
+        tallies = [self.shards[index] for index in range(config.shards)]
+        per_shard = tuple(
+            ShardStats(
+                index=index,
+                name=shard_ca_name(index, config.shards),
+                vehicles_assigned=tally.vehicles_assigned,
+                enrollments=tally.enrollments,
+                sessions_established=tally.sessions,
+                rekeys=tally.rekeys,
+                handovers_in=tally.handovers_in,
+                failed=tally.failures > tally.rejoins,
+                ca_busy_ms=tally.busy_ms,
+                # Unclamped: a resource over-committed past ``now``
+                # shows as > 1.0.
+                ca_utilisation=tally.busy_ms / now if now > 0 else 0.0,
+                ca_batches=tally.batches,
+                ca_max_batch=tally.max_batch,
+                queue_latency=tally.queue_wait.summary(),
+                ca_energy_mj=tally.ca_energy_mj,
+                epoch=1 + tally.rejoins,
+                migrations_in=tally.migrations_in,
+                migrations_out=tally.migrations_out,
+            )
+            for index, tally in enumerate(tallies)
+        )
+        merged = merge_shard_stats(per_shard)
+
+        def fleet_table(name: str) -> StreamingLatency:
+            table = StreamingLatency()
+            for tally in tallies:
+                table.merge(getattr(tally, name))
+            return table
+
+        enrollment = fleet_table("enrollment_latency")
+        return FleetStats(
+            vehicles=config.n_vehicles,
+            enrollments=enrollment.count,
+            sessions_established=merged["sessions_established"],
+            rekeys=merged["rekeys"],
+            records_sent=self.records_sent,
+            duration_ms=now,
+            ca_busy_ms=merged["ca_busy_ms"],
+            # Mean per-shard utilisation: summed busy time over the time
+            # available across all shard resources.  For one shard this
+            # is exactly the resource's own utilisation (PR 1 parity);
+            # for M shards it stays a 0–1-ish load figure instead of an
+            # M-fold inflated one.
+            ca_utilisation=(
+                merged["ca_busy_ms"] / (now * len(per_shard))
+                if now > 0
+                else 0.0
+            ),
+            ca_batches=merged["ca_batches"],
+            ca_max_batch=merged["ca_max_batch"],
+            enrollment_latency=enrollment.summary(),
+            establishment_latency=fleet_table(
+                "establishment_latency"
+            ).summary(),
+            vehicle_energy_mj=self.vehicle_energy.value,
+            ca_energy_mj=merged["ca_energy_mj"],
+            per_shard=per_shard,
+            ca_queue_latency=fleet_table("queue_wait").summary(),
+            v2v_sessions=self.v2v_latency.count,
+            v2v_rekeys=self.v2v_rekeys,
+            v2v_cross_shard=self.v2v_cross_shard,
+            v2v_records_sent=self.v2v_records_sent,
+            v2v_latency=self.v2v_latency.summary(),
+            handovers=merged["handovers_in"],
+            migrations=merged["migrations_in"],
+            rejoins=sum(tally.rejoins for tally in tallies),
+            re_enrollments=self.re_enrollments,
+            migration_latency=self.migration_latency.summary(),
+            scenario=scenario.name if scenario is not None else "",
+            policy=config.policy or "",
+            profile_counts=(
+                schedule.profile_counts if schedule is not None else ()
+            ),
+            injection_stats=tuple(
+                InjectionStats(**row) for row in self.injections
+            ),
+        )
+
+    def render(self):
+        """The ``fleet.*``/``policy.*`` metric plane as a ``MetricsSnapshot``.
+
+        An instrument appears exactly when it would have been touched
+        during the run (a counter with at least one increment, a
+        histogram with at least one sample); injection counters appear
+        for every scheduled kind, zero or not.  Histograms rebuild
+        exactly from the value→count tables
+        (:meth:`~repro.obs.metrics.HistogramSnapshot.from_counts`).
+        """
+        from ..obs.metrics import HistogramSnapshot, MetricsSnapshot
+
+        counters: dict = {}
+        gauges: dict = {}
+        histograms: dict = {}
+
+        def count(name, value, labels=()):
+            if value:
+                key = (name, labels)
+                counters[key] = counters.get(key, 0) + value
+
+        def table(name, samples, labels=()):
+            if samples.count:
+                histograms[(name, labels)] = HistogramSnapshot.from_counts(
+                    samples._counts
+                )
+
+        count("fleet.arrivals", self.arrivals)
+        count("fleet.vehicles_done", self.vehicles_done)
+        count("fleet.handovers", self.handover_events)
+        count("fleet.migrations", self.migration_latency.count)
+        count("fleet.re_enrollments", self.re_enrollments)
+        count("fleet.re_enrollments_coalesced", self.re_enrollments_coalesced)
+        count("fleet.v2v_sessions", self.v2v_latency.count)
+        count("fleet.v2v_cross_shard", self.v2v_cross_shard)
+        count("fleet.v2v_records_sent", self.v2v_records_sent)
+        table("fleet.migration_latency_ms", self.migration_latency)
+        table("fleet.v2v_latency_ms", self.v2v_latency)
+        for (point, rule), fires in self.decision_counts.items():
+            count(f"policy.{point}", fires, (("rule", rule),))
+        count("policy.migrate", self.api_migrations, (("rule", "api"),))
+        for row in self.injections:
+            for key in _INJECTION_COUNTS:
+                name = (f"fleet.injection_{key}", (("kind", row["kind"]),))
+                counters[name] = counters.get(name, 0) + row[key]
+        for index, tally in self.shards.items():
+            labels = (("shard", str(index)),)
+            for name, attr in _SHARD_METRICS:
+                count(name, getattr(tally, attr), labels)
+            for name, attr in _SHARD_HISTOGRAMS:
+                table(name, getattr(tally, attr), labels)
+            if tally.max_batch:
+                gauges[("fleet.ca_max_batch", labels)] = float(tally.max_batch)
+        return MetricsSnapshot(
+            counters=counters, gauges=gauges, histograms=histograms
+        )
+
+
+def _injection_specs(ledger: FleetLedger) -> list:
+    return [(row["kind"], row["at_ms"]) for row in ledger.injections]

@@ -55,8 +55,6 @@ from ..protocols import SessionManager
 from ..protocols.pool import EphemeralPool
 from ..sim.engine import Resource
 from ..testbed import DEFAULT_NOW, device_id
-from .stats import ShardStats, StreamingLatency
-from .vehicle import Vehicle
 
 #: Identity of the central CA/gateway device (paper Fig. 1's RPi 4) in the
 #: degenerate single-shard deployment.
@@ -86,9 +84,10 @@ def shard_gateway_name(index: int, total: int) -> str:
 class GatewayShard:
     """One gateway shard: CA + gateway endpoint + contended resource.
 
-    Mutable orchestration state (queue, accounting) lives here so the
-    orchestrator's enrollment and establishment paths are uniform across
-    any shard count.
+    Mutable orchestration state (issuance queue, live vehicle count)
+    lives here so the orchestrator's enrollment and establishment paths
+    are uniform across any shard count; the shard's accounting lives in
+    its :class:`~repro.fleet.stats.ShardTally` of the run's ledger.
     """
 
     index: int
@@ -108,63 +107,16 @@ class GatewayShard:
     #: Chain epoch of the shard's CA: 1 at provisioning, bumped by every
     #: post-failure rejoin (the trust store retires the old epoch's cert).
     epoch: int = 1
-    # -- orchestration accounting --------------------------------------------
+    # -- orchestration state ---------------------------------------------------
     queue: deque = field(default_factory=deque)
     issuing: bool = False
-    batches: int = 0
-    max_batch: int = 0
-    vehicles_assigned: int = 0
     active_vehicles: int = 0
-    enrollments: int = 0
-    sessions_established: int = 0
-    rekeys: int = 0
-    handovers_in: int = 0
-    migrations_in: int = 0
-    migrations_out: int = 0
-    queue_latency: StreamingLatency = field(default_factory=StreamingLatency)
-    energy_mj: float = 0.0
     session_counter: int = 0
 
     @property
     def gateway_id(self) -> bytes:
         """The shard gateway's 16-byte identity."""
         return self.gateway_credential.subject_id
-
-    def adopt(self, vehicle: Vehicle) -> None:
-        """Take over a vehicle from a failed shard."""
-        self.vehicles_assigned += 1
-        self.active_vehicles += 1
-        self.handovers_in += 1
-        vehicle.shard = self.index
-
-    def receive_migration(self, vehicle: Vehicle) -> None:
-        """Take over a vehicle migrating in from a *healthy* shard."""
-        self.vehicles_assigned += 1
-        self.active_vehicles += 1
-        self.migrations_in += 1
-        vehicle.shard = self.index
-
-    def stats(self, now: float) -> ShardStats:
-        """Freeze this shard's accounting into a :class:`ShardStats`."""
-        return ShardStats(
-            index=self.index,
-            name=self.ca_name,
-            vehicles_assigned=self.vehicles_assigned,
-            enrollments=self.enrollments,
-            sessions_established=self.sessions_established,
-            rekeys=self.rekeys,
-            handovers_in=self.handovers_in,
-            failed=self.failed,
-            ca_busy_ms=self.resource.busy_ms,
-            ca_utilisation=self.resource.utilisation(now),
-            ca_batches=self.batches,
-            ca_max_batch=self.max_batch,
-            queue_latency=self.queue_latency.summary(),
-            ca_energy_mj=self.energy_mj,
-            epoch=self.epoch,
-            migrations_in=self.migrations_in,
-            migrations_out=self.migrations_out,
-        )
 
 
 class FleetTopology:

@@ -5,6 +5,12 @@ The orchestrator calls one hook per lifecycle event, always guarded by
 single instruction beyond that check runs (the ``CostTrace``
 zero-overhead contract).
 
+The hooks record spans and heartbeats only.  Every count lives in the
+run's always-on :class:`~repro.fleet.stats.FleetLedger`; :func:`publish`
+renders the whole ``fleet.*``/``policy.*`` metric plane from it once,
+when the run ends (serial) or at the barrier (process-parallel), and
+heartbeats read their progress counts from it.
+
 Digest-neutrality rules every hook obeys:
 
 * **read-only** — hooks never mutate orchestrator, shard or vehicle
@@ -22,7 +28,28 @@ Digest-neutrality rules every hook obeys:
 
 from __future__ import annotations
 
-__all__ = ["FleetInstrumentation"]
+__all__ = ["FleetInstrumentation", "publish"]
+
+
+def publish(obs, ledger, stats, config, scenario, **meta) -> None:
+    """Render a finished run's ledger into ``obs``: metrics and meta.
+
+    The one tail of every observed run: the serial run publishes its own
+    ledger, a process-parallel run the workers' merged ledger (``meta``
+    adds the parallel-only keys).
+    """
+    obs.metrics.absorb(ledger.render())
+    obs.meta.update(
+        {
+            "run": scenario.name if scenario is not None else "fleet",
+            "sim_end_ms": stats.duration_ms,
+            "backend": config.backend,
+            "n_vehicles": config.n_vehicles,
+            "shards": config.shards,
+            **meta,
+            "digest": stats.digest(),
+        }
+    )
 
 
 class FleetInstrumentation:
@@ -44,8 +71,6 @@ class FleetInstrumentation:
         self._migrate_spans: dict = {}
         self._re_enroll_spans: dict = {}
         self._v2v_spans: dict = {}
-        self._vehicles_done = 0
-        self._records = 0
         self._next_beat_ms = 0.0
 
     # -- run lifecycle ------------------------------------------------------
@@ -72,69 +97,31 @@ class FleetInstrumentation:
                 shard=shard.index,
             )
 
-    def run_finished(self, orch, stats) -> None:
-        """Close shard + run spans, final heartbeat, injection tallies, meta."""
+    def run_finished(self, orch) -> None:
+        """Close shard + run spans and emit the final heartbeat.
+
+        Ends the serial run and each process-parallel worker's partition
+        alike; the metric plane and the run meta follow from the ledger
+        (:func:`publish`).
+        """
+        from ..fleet.stats import ShardTally
+
         spans = self.obs.spans
         now = orch.sim.now
         for shard in orch.shards:
+            # A worker holds only its own shards' tallies; the others
+            # close with the zero counts of a shard it never simulated.
+            tally = orch.ledger.shards.get(shard.index) or ShardTally()
             spans.end(
                 self._shard_spans.pop(shard.index),
                 now,
-                enrollments=shard.enrollments,
-                sessions=shard.sessions_established,
-                batches=shard.batches,
+                enrollments=tally.enrollments,
+                sessions=tally.sessions,
+                batches=tally.batches,
             )
         spans.end(self._run_span, now)
         self._run_span = None
         self._heartbeat(orch)  # final beat, always emitted
-        metrics = self.obs.metrics
-        for inj in stats.injection_stats:
-            metrics.counter(
-                "fleet.injection_attempts", kind=inj.kind
-            ).inc(inj.attempts)
-            metrics.counter(
-                "fleet.injection_rejected", kind=inj.kind
-            ).inc(inj.rejected)
-            metrics.counter(
-                "fleet.injection_succeeded", kind=inj.kind
-            ).inc(inj.succeeded)
-        self.obs.meta.update(
-            {
-                "run": (
-                    orch.scenario.name
-                    if orch.scenario is not None
-                    else "fleet"
-                ),
-                "sim_end_ms": now,
-                "backend": orch.config.backend,
-                "n_vehicles": orch.config.n_vehicles,
-                "shards": orch.config.shards,
-                "digest": stats.digest(),
-            }
-        )
-
-    def partition_finished(self, orch) -> None:
-        """Close shard + run spans for one worker *partition* run.
-
-        The process-parallel path (:mod:`repro.fleet.parallel`) ends a
-        worker's telemetry here instead of :meth:`run_finished`: the
-        worker has no merged :class:`~repro.fleet.stats.FleetStats`, so
-        injection counters and the run meta are emitted by the *parent*
-        from the merged result.  Spans stay worker-local.
-        """
-        spans = self.obs.spans
-        now = orch.sim.now
-        for shard in orch.shards:
-            spans.end(
-                self._shard_spans.pop(shard.index),
-                now,
-                enrollments=shard.enrollments,
-                sessions=shard.sessions_established,
-                batches=shard.batches,
-            )
-        spans.end(self._run_span, now)
-        self._run_span = None
-        self._heartbeat(orch)  # final worker beat, always emitted
 
     # -- enrollment ---------------------------------------------------------
 
@@ -156,26 +143,19 @@ class FleetInstrumentation:
             parent=parent,
             vehicle=vehicle.index,
         )
-        self.obs.metrics.counter("fleet.arrivals").inc()
 
-    def vehicle_enrolled(self, orch, vehicle, latency_ms) -> None:
-        """Close the enrollment span; count + time the enrollment."""
+    def vehicle_enrolled(self, orch, vehicle) -> None:
+        """Close the enrollment span."""
         self.obs.spans.end(
             self._enroll_spans.pop(vehicle.index),
             orch.sim.now,
             shard=vehicle.shard,
         )
-        self.obs.metrics.counter(
-            "fleet.enrollments", shard=vehicle.shard
-        ).inc()
-        self.obs.metrics.histogram(
-            "fleet.enrollment_latency_ms", shard=vehicle.shard
-        ).observe(latency_ms)
 
     def ca_batch(
         self, orch, shard, batch_size, attacks, start_ms, end_ms
     ) -> None:
-        """Record one CA issuance batch span + its counters."""
+        """Record one CA issuance batch span."""
         spans = self.obs.spans
         span_id = spans.begin(
             f"shard{shard.index}:issue",
@@ -187,23 +167,6 @@ class FleetInstrumentation:
             attacks=attacks,
         )
         spans.end(span_id, end_ms)
-        metrics = self.obs.metrics
-        metrics.counter("fleet.ca_batches", shard=shard.index).inc()
-        metrics.counter(
-            "fleet.ca_batched_requests", shard=shard.index
-        ).inc(batch_size)
-        metrics.gauge("fleet.ca_max_batch", shard=shard.index).record(
-            batch_size
-        )
-        metrics.histogram(
-            "fleet.ca_batch_service_ms", shard=shard.index
-        ).observe(end_ms - start_ms)
-
-    def queue_wait(self, orch, shard, wait_ms) -> None:
-        """Record one legit request's CA queue wait."""
-        self.obs.metrics.histogram(
-            "fleet.ca_queue_wait_ms", shard=shard.index
-        ).observe(wait_ms)
 
     # -- sessions -----------------------------------------------------------
 
@@ -218,23 +181,16 @@ class FleetInstrumentation:
             shard=shard.index,
         )
 
-    def establish_finished(
-        self, orch, vehicle, shard, latency_ms, generation
-    ) -> None:
-        """Close the establishment span; count + time the session."""
+    def establish_finished(self, orch, vehicle, generation) -> None:
+        """Close the establishment span."""
         self.obs.spans.end(
             self._establish_spans.pop(vehicle.index),
             orch.sim.now,
             generation=generation,
         )
-        metrics = self.obs.metrics
-        metrics.counter("fleet.sessions", shard=shard.index).inc()
-        metrics.histogram(
-            "fleet.establishment_latency_ms", shard=shard.index
-        ).observe(latency_ms)
 
     def rekey(self, orch, vehicle, shard) -> None:
-        """Mark a re-key event and count it."""
+        """Mark a re-key event."""
         self.obs.spans.event(
             f"{vehicle.name}:rekey",
             "rekey",
@@ -244,16 +200,9 @@ class FleetInstrumentation:
             shard=shard.index,
             records=vehicle.records_sent,
         )
-        self.obs.metrics.counter("fleet.rekeys", shard=shard.index).inc()
 
-    def record_sent(self, orch, vehicle, shard, record_bytes) -> None:
-        """Count one application record (and maybe heartbeat)."""
-        metrics = self.obs.metrics
-        metrics.counter("fleet.records_sent", shard=shard.index).inc()
-        metrics.counter("fleet.record_bytes", shard=shard.index).inc(
-            record_bytes
-        )
-        self._records += 1
+    def record_sent(self, orch) -> None:
+        """One application record went out: maybe heartbeat."""
         self._maybe_heartbeat(orch)
 
     def vehicle_done(self, orch, vehicle) -> None:
@@ -263,14 +212,12 @@ class FleetInstrumentation:
             orch.sim.now,
             records=vehicle.records_sent,
         )
-        self.obs.metrics.counter("fleet.vehicles_done").inc()
-        self._vehicles_done += 1
         self._maybe_heartbeat(orch)
 
     # -- failover / churn ---------------------------------------------------
 
     def shard_failed(self, orch, shard, requeued) -> None:
-        """Mark the failover event and count requeued vehicles."""
+        """Mark the failover event."""
         self.obs.spans.event(
             f"shard{shard.index}:failed",
             "failover",
@@ -279,12 +226,9 @@ class FleetInstrumentation:
             shard=shard.index,
             requeued=requeued,
         )
-        self.obs.metrics.counter(
-            "fleet.shard_failures", shard=shard.index
-        ).inc()
 
     def handover(self, orch, vehicle, old_shard, new_shard) -> None:
-        """Count one failover handover."""
+        """Mark one failover handover."""
         self.obs.spans.event(
             f"{vehicle.name}:handover",
             "failover",
@@ -294,10 +238,9 @@ class FleetInstrumentation:
             from_shard=old_shard.index,
             to_shard=new_shard.index,
         )
-        self.obs.metrics.counter("fleet.handovers").inc()
 
     def rejoin(self, orch, shard) -> None:
-        """Mark the shard-rejoin event and count it."""
+        """Mark the shard-rejoin event."""
         self.obs.spans.event(
             f"shard{shard.index}:rejoin",
             "rejoin",
@@ -305,12 +248,9 @@ class FleetInstrumentation:
             parent=self._shard_spans.get(shard.index),
             shard=shard.index,
         )
-        self.obs.metrics.counter(
-            "fleet.rejoins", shard=shard.index
-        ).inc()
 
     def migrate_started(self, orch, vehicle, old_shard, target) -> None:
-        """Open the live-migration span; tally the per-shard flow."""
+        """Open the live-migration span."""
         self._migrate_spans[vehicle.index] = self.obs.spans.begin(
             f"{vehicle.name}:migrate",
             "migrate",
@@ -320,25 +260,12 @@ class FleetInstrumentation:
             from_shard=old_shard.index,
             to_shard=target.index,
         )
-        # Per-shard flow accounting: tracelint's shard-conservation
-        # rule checks Σ migrations_in == Σ migrations_out (== the
-        # run-level fleet.migrations counter).
-        metrics = self.obs.metrics
-        metrics.counter(
-            "fleet.migrations_out", shard=old_shard.index
-        ).inc()
-        metrics.counter(
-            "fleet.migrations_in", shard=target.index
-        ).inc()
 
-    def migrate_finished(self, orch, vehicle, latency_ms) -> None:
-        """Close the migration span; count + time it."""
+    def migrate_finished(self, orch, vehicle) -> None:
+        """Close the migration span."""
         self.obs.spans.end(
             self._migrate_spans.pop(vehicle.index), orch.sim.now
         )
-        metrics = self.obs.metrics
-        metrics.counter("fleet.migrations").inc()
-        metrics.histogram("fleet.migration_latency_ms").observe(latency_ms)
 
     def re_enroll_started(self, orch, vehicle, shard, reason) -> None:
         """Open the re-enrollment span."""
@@ -353,31 +280,25 @@ class FleetInstrumentation:
         )
 
     def re_enroll_finished(self, orch, vehicle) -> None:
-        """Close the re-enrollment span and count it."""
+        """Close the re-enrollment span."""
         self.obs.spans.end(
             self._re_enroll_spans.pop(vehicle.index), orch.sim.now
         )
-        self.obs.metrics.counter("fleet.re_enrollments").inc()
-
-    def re_enroll_coalesced(self, orch, vehicle) -> None:
-        """Count a re-enrollment coalesced into one in flight."""
-        self.obs.metrics.counter("fleet.re_enrollments_coalesced").inc()
 
     # -- policy decisions ----------------------------------------------------
 
     def policy_decision(
         self, now_ms, point, rule, vehicle_index, target_shard
     ) -> None:
-        """Mark one policy-engine decision and count it per rule.
+        """Mark one policy-engine decision with a span event.
 
         Called from inside :meth:`repro.fleet.policy.PolicyEngine.decide`
         (and from the manual :meth:`~repro.fleet.orchestrator
         .FleetOrchestrator.migrate` API path, attributed to the pseudo
         rule ``"api"``), so the signature carries the already-snapshotted
         values rather than an orchestrator reference.  Tracelint's
-        policy-balance rule checks these counters against the action
-        counters they must equal (``policy.migrate`` decisions ==
-        migrations in, ``policy.rekey`` decisions == re-keys).
+        policy-balance rule checks these events against the
+        ``policy.<point>`` counters the ledger renders.
         """
         attrs = {"vehicle": vehicle_index, "rule": rule}
         if target_shard is not None:
@@ -389,7 +310,6 @@ class FleetInstrumentation:
             parent=self._vehicle_spans.get(vehicle_index),
             **attrs,
         )
-        self.obs.metrics.counter(f"policy.{point}", rule=rule).inc()
 
     # -- V2V ----------------------------------------------------------------
 
@@ -408,33 +328,24 @@ class FleetInstrumentation:
             rekey=rekey,
         )
 
-    def v2v_finished(
-        self, orch, initiator, responder, latency_ms, cross_shard
-    ) -> None:
-        """Close the V2V span; count + time the session."""
+    def v2v_finished(self, orch, initiator, responder, cross_shard) -> None:
+        """Close the V2V span."""
         pair = (initiator.index, responder.index)
         self.obs.spans.end(
             self._v2v_spans.pop(pair),
             orch.sim.now,
             cross_shard=cross_shard,
         )
-        metrics = self.obs.metrics
-        metrics.counter("fleet.v2v_sessions").inc()
-        metrics.histogram("fleet.v2v_latency_ms").observe(latency_ms)
-        if cross_shard:
-            metrics.counter("fleet.v2v_cross_shard").inc()
-
-    def v2v_record(self, orch, initiator, responder) -> None:
-        """Count one V2V application record."""
-        self.obs.metrics.counter("fleet.v2v_records_sent").inc()
 
     # -- adversarial injections ---------------------------------------------
 
     def injection_ran(self, orch, index, kind, log) -> None:
-        # Span event only: CA-flood rejections are tallied later, when
-        # the flooded queue drains through _pump_ca, so the final
-        # per-kind counters come from InjectionStats in run_finished.
-        """Mark an adversarial injection dispatch event."""
+        """Mark an adversarial injection dispatch event.
+
+        CA-flood rejections are tallied later, when the flooded queue
+        drains, so the per-kind counters come from the ledger's final
+        injection rows, not from this dispatch-time snapshot.
+        """
         self.obs.spans.event(
             f"injection{index}:{kind}",
             "injection",
@@ -463,7 +374,7 @@ class FleetInstrumentation:
     def _heartbeat(self, orch) -> None:
         self.obs.heartbeat(
             sim_ms=orch.sim.now,
-            vehicles_done=self._vehicles_done,
+            vehicles_done=orch.ledger.vehicles_done,
             vehicles_total=orch.config.n_vehicles,
-            records_sent=self._records,
+            records_sent=orch.ledger.records_sent,
         )

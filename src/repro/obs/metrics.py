@@ -1,9 +1,10 @@
 """Labeled, mergeable fleet metrics: counters, gauges, histograms.
 
-The future process-parallel orchestrator will run shards in worker
-processes and fold their telemetry back together, exactly the way
-``ShardStats.merge`` already folds per-shard aggregates.  That forces
-one law onto everything in this module:
+The process-parallel orchestrator (:mod:`repro.fleet.parallel`) runs
+shards in worker processes and folds their telemetry back together at
+the barrier, and the digest tree (:mod:`repro.obs.tree`) folds metric
+leaves the same way.  That forces one law onto everything in this
+module:
 
     **snapshot merge is order-independent and associative.**
 
@@ -17,12 +18,18 @@ time.  Gauges here are *high-watermark* gauges (peak RSS, deepest CA
 queue, largest issuance batch): ``merge`` takes the max, which is
 commutative and associative, unlike last-writer-wins.
 
+The fleet's own plane is not fed one event at a time: the run's
+:class:`~repro.fleet.stats.FleetLedger` renders it whole, once, as a
+:class:`MetricsSnapshot` (histograms via
+:meth:`HistogramSnapshot.from_counts`).
+
 The hypothesis suite (``tests/obs/test_obs_properties.py``) drives the
 law over random instrument programs.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,6 +170,29 @@ class HistogramSnapshot:
     max: float | None
     bounds: tuple
     bucket_counts: tuple
+
+    @classmethod
+    def from_counts(
+        cls, counts: dict, bounds: tuple = DEFAULT_BUCKETS_MS
+    ) -> "HistogramSnapshot":
+        """The snapshot of a ``value -> count`` sample table, exactly.
+
+        Equal to observing every sample into a :class:`Histogram` with
+        ``bounds``: integer buckets, the exact rational sum, min/max.
+        """
+        buckets = [0] * (len(bounds) + 1)
+        total = Fraction(0)
+        for value, count in counts.items():
+            buckets[bisect.bisect_left(bounds, value)] += count
+            total += Fraction(value) * count
+        return cls(
+            count=sum(counts.values()),
+            sum_exact=total,
+            min=min(counts, default=None),
+            max=max(counts, default=None),
+            bounds=tuple(bounds),
+            bucket_counts=tuple(buckets),
+        )
 
     @property
     def sum(self) -> float:
@@ -424,9 +454,8 @@ class MetricsRegistry:
     def absorb(self, snapshot: MetricsSnapshot) -> None:
         """Fold a frozen snapshot into the live registry.
 
-        The process-parallel orchestrator's barrier merge: each worker
-        ships its registry as a :class:`MetricsSnapshot` and the parent
-        absorbs them all.  Obeys the same laws as
+        How a finished fleet run's rendered ledger reaches an observer
+        (:func:`repro.obs.fleet.publish`).  Obeys the same laws as
         :meth:`MetricsSnapshot.merge` — counters add, gauges take the
         max, histograms fold exactly — so
         ``registry.snapshot()`` afterwards equals

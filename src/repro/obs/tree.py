@@ -42,9 +42,10 @@ metric leaves with the metric merge laws (counters add, gauges max,
 histograms merge exactly), then recomputes every digest bottom-up.
 That makes ``merge ≡ recomputation`` a theorem the parallel
 orchestrator can check: each :class:`~repro.fleet.parallel.WorkerSnapshot`
-ships its metric-plane subtree root, and the parent proves that folding
-the worker subtrees produces exactly the tree recomputed from its
-absorbed registry (``tests/fleet/test_divergence_parallel.py``).
+ships the metric-plane subtree root of its rendered ledger, and the
+parent proves that folding the worker subtrees produces exactly the
+tree of the merged ledger's rendering
+(``tests/fleet/test_divergence_parallel.py``).
 """
 
 from __future__ import annotations
@@ -374,9 +375,9 @@ class DigestTree:
     def from_metrics(cls, snapshot) -> "DigestTree":
         """The metric-plane tree of one :class:`MetricsSnapshot`.
 
-        This is the subtree each parallel worker ships: metric leaves
-        only, so the parent's fold of worker subtrees must equal the
-        tree recomputed from its absorbed registry.
+        This is the subtree each parallel worker ships (of its rendered
+        ledger): metric leaves only, so the parent's fold of worker
+        subtrees must equal the tree of the merged ledger's rendering.
         """
         return cls.from_events(snapshot.events(), include=("metrics",))
 

@@ -2,8 +2,8 @@
 
 The parallel orchestrator's ``_finalize_obs`` verifies, on every
 observed parallel run, that (1) each worker's shipped metric-subtree
-root re-hashes from its snapshot and (2) the fold of the worker
-subtrees equals the tree recomputed from the absorbed registry —
+root re-hashes from its rendered ledger and (2) the fold of the worker
+subtrees equals the tree of the merged ledger's rendering —
 merge ≡ recomputation.  These tests drive that proof for
 ``workers ∈ {1, 2, 4}`` and pin the metric plane bit-identical to the
 serial run's.
@@ -81,12 +81,12 @@ class TestTamperDetection:
         seen = {}
         real = parallel_mod._finalize_obs
 
-        def recorder(obs, config, scenario, stats, snapshots):
+        def recorder(obs, config, scenario, stats, ledger, snapshots):
             seen.update(
                 obs=obs, config=config, scenario=scenario,
-                stats=stats, snapshots=list(snapshots),
+                stats=stats, ledger=ledger, snapshots=list(snapshots),
             )
-            return real(obs, config, scenario, stats, snapshots)
+            return real(obs, config, scenario, stats, ledger, snapshots)
 
         monkeypatch.setattr(parallel_mod, "_finalize_obs", recorder)
         FleetOrchestrator(_config(2), obs=Observer()).run()
@@ -99,7 +99,7 @@ class TestTamperDetection:
         for snap in captured["snapshots"]:
             assert snap.tree_root is not None
             assert (
-                DigestTree.from_metrics(snap.metrics).root_digest
+                DigestTree.from_metrics(snap.ledger.render()).root_digest
                 == snap.tree_root
             )
 
@@ -111,14 +111,14 @@ class TestTamperDetection:
         with pytest.raises(SimulationError, match="refusing to merge"):
             parallel_mod._finalize_obs(
                 Observer(), captured["config"], captured["scenario"],
-                captured["stats"], forged,
+                captured["stats"], captured["ledger"], forged,
             )
 
     def test_honest_replay_passes_and_records_root(self, captured):
         fresh = Observer()
         parallel_mod._finalize_obs(
             fresh, captured["config"], captured["scenario"],
-            captured["stats"], captured["snapshots"],
+            captured["stats"], captured["ledger"], captured["snapshots"],
         )
         assert fresh.meta["tree_root"]
 

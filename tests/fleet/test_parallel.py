@@ -265,7 +265,7 @@ class TestParallelResultSurface:
             (0, orch._plan.owned[0], worker_config, None, False, 5_000_000)
         )
         assert snap.checksum == _checksum(snap)
-        snap.counters["records_sent"] += 1
+        snap.ledger.shards[snap.owned[0]].records_sent += 1
         assert snap.checksum != _checksum(snap)
 
     def test_merge_rejects_corrupted_snapshot(self, monkeypatch):
@@ -276,7 +276,8 @@ class TestParallelResultSurface:
         def corrupting_worker_run(payload):
             snap = real_worker_run(payload)
             if snap.worker == 0:
-                snap.counters["rekeys"] += 7  # corrupt after checksum
+                # Corrupt after checksum.
+                snap.ledger.shards[snap.owned[0]].rekeys += 7
             return snap
 
         monkeypatch.setattr(par, "_worker_run", corrupting_worker_run)

@@ -446,7 +446,7 @@ class TestEngine:
         state = _state("rekey", _vehicle(), [_shard(0)], rekey_due=True)
         for _ in range(3):
             engine.decide("rekey", state)
-        assert engine.decision_counts == {
+        assert engine.ledger.decision_counts == {
             ("rekey", "session-expiry-rekey"): 3
         }
 
@@ -637,7 +637,7 @@ class TestEndToEnd:
 
         orch = FleetOrchestrator(self._config())
         orch.run()
-        counts = orch.policy.decision_counts
+        counts = orch.ledger.decision_counts
         assert counts.get(("assign", "shard-assign"), 0) >= 8
 
     def test_storm_hardened_bundle_rekeys_at_least_as_often(self):

@@ -151,7 +151,9 @@ def test_equal_specs_and_states_give_identical_decision_streams(
     stream_a = [original.decide(state.point, state) for state in states]
     stream_b = [reloaded.decide(state.point, state) for state in states]
     assert stream_a == stream_b
-    assert original.decision_counts == reloaded.decision_counts
+    assert (
+        original.ledger.decision_counts == reloaded.ledger.decision_counts
+    )
 
 
 @given(
