@@ -722,9 +722,7 @@ class PolicyEngine:
                 continue
             decision = replace(decision, rule=rule.kind, point=point)
             self._validate(decision, state, rule)
-            counts = self.ledger.decision_counts
-            key = (point, rule.kind)
-            counts[key] = counts.get(key, 0) + 1
+            self.ledger.decision_counts[(point, rule.kind)] += 1
             if self._hooks is not None:
                 self._hooks.policy_decision(
                     state.now_ms,

@@ -21,6 +21,7 @@ observer's metric plane are all views of that one record.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import StatsError
@@ -1069,7 +1070,7 @@ class FleetLedger:
             for spec in injections
         ]
         #: ``(point, rule kind) -> fires`` of the policy engine.
-        self.decision_counts: dict = {}
+        self.decision_counts: Counter = Counter()
         self.vehicle_energy = ExactSum()
         self.migration_latency = StreamingLatency()
         self.v2v_latency = StreamingLatency()
@@ -1112,10 +1113,7 @@ class FleetLedger:
             for row, other in zip(merged.injections, ledger.injections):
                 for key in _INJECTION_COUNTS:
                     row[key] += other[key]
-            for key, fires in ledger.decision_counts.items():
-                merged.decision_counts[key] = (
-                    merged.decision_counts.get(key, 0) + fires
-                )
+            merged.decision_counts.update(ledger.decision_counts)
             merged.vehicle_energy.merge(ledger.vehicle_energy)
             merged.migration_latency.merge(ledger.migration_latency)
             merged.v2v_latency.merge(ledger.v2v_latency)
@@ -1206,9 +1204,9 @@ class FleetLedger:
             ca_busy_ms=merged["ca_busy_ms"],
             # Mean per-shard utilisation: summed busy time over the time
             # available across all shard resources.  For one shard this
-            # is exactly the resource's own utilisation (PR 1 parity);
-            # for M shards it stays a 0–1-ish load figure instead of an
-            # M-fold inflated one.
+            # is exactly the resource's own utilisation (single-gateway
+            # digest parity); for M shards it stays a 0–1-ish load figure
+            # instead of an M-fold inflated one.
             ca_utilisation=(
                 merged["ca_busy_ms"] / (now * len(per_shard))
                 if now > 0
